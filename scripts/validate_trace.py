@@ -21,13 +21,19 @@ Chrome-trace mode (default) checks a Tracer::ToChromeJson file:
 
 Timeline mode (--timeline) checks a FlightRecorder::ToJsonl file: one JSON
 object per line with numeric at_ms/window_ms and a counters object, frame
-timestamps strictly increasing.
+timestamps strictly increasing. A counters value >= 2^63 is rejected: it is
+an unsigned delta that wrapped, i.e. a level (gauge) registered as a counter.
+An optional gauges object must hold non-negative numeric levels.
 
 Usage: validate_trace.py <trace.json>
        validate_trace.py --timeline <timeline.jsonl>
 """
 import json
 import sys
+
+
+# Counter deltas are unsigned 64-bit; anything this large is k below 2^64.
+WRAPPED_DELTA = 2**63
 
 
 def fail(msg):
@@ -69,7 +75,16 @@ def validate_timeline(path):
         for name, value in counters.items():
             if not isinstance(value, (int, float)):
                 fail(f"{path}:{n + 1}: counter {name!r} has non-numeric value")
+            if value >= WRAPPED_DELTA:
+                fail(f"{path}:{n + 1}: counter {name!r} = {value} is a wrapped unsigned "
+                     "delta (a falling level registered as a counter, not a gauge)")
             counter_names.add(name)
+        gauges = frame.get("gauges", {})
+        if not isinstance(gauges, dict):
+            fail(f"{path}:{n + 1}: gauges is not an object")
+        for name, value in gauges.items():
+            if not isinstance(value, (int, float)) or value < 0:
+                fail(f"{path}:{n + 1}: gauge {name!r} has bad level {value!r}")
     print(
         f"validate_trace: OK: {len(lines)} timeline frames, "
         f"{len(counter_names)} distinct counters, timestamps strictly increasing"

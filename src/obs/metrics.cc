@@ -194,24 +194,37 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-void MetricsRegistry::RegisterCounter(std::string name, Source source) {
+void MetricsRegistry::CheckUnregistered(const std::string& name) const {
   for (const auto& [existing, unused] : counters_) {
-    CHECK(existing != name) << "metrics: counter registered twice: " << name;
+    CHECK(existing != name) << "metrics: name registered twice: " << name;
   }
   for (const auto& [existing, unused] : diagnostics_) {
     CHECK(existing != name) << "metrics: name registered twice: " << name;
   }
+}
+
+void MetricsRegistry::RegisterCounter(std::string name, Source source) {
+  CheckUnregistered(name);
   counters_.emplace_back(std::move(name), std::move(source));
+  gauges_.push_back(false);
+}
+
+void MetricsRegistry::RegisterGauge(std::string name, Source source) {
+  CheckUnregistered(name);
+  counters_.emplace_back(std::move(name), std::move(source));
+  gauges_.push_back(true);
 }
 
 void MetricsRegistry::RegisterDiagnostic(std::string name, Source source) {
-  for (const auto& [existing, unused] : counters_) {
-    CHECK(existing != name) << "metrics: name registered twice: " << name;
-  }
-  for (const auto& [existing, unused] : diagnostics_) {
-    CHECK(existing != name) << "metrics: diagnostic registered twice: " << name;
-  }
+  CheckUnregistered(name);
   diagnostics_.emplace_back(std::move(name), std::move(source));
+}
+
+void MetricsRegistry::ReadCounters(std::vector<uint64_t>* values) const {
+  values->resize(counters_.size());
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    (*values)[i] = counters_[i].second();
+  }
 }
 
 const Log2Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {

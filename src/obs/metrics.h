@@ -100,9 +100,24 @@ class MetricsRegistry {
   void RegisterCounter(std::string name, const uint64_t* counter) {
     RegisterCounter(std::move(name), [counter]() { return *counter; });
   }
+  // A gauge: a level that may fall (live leases, clusters in use) rather than
+  // a cumulative count. Snapshots keep it in MetricsSnapshot::counters, so
+  // Hash() covers it exactly like a counter; only the flight recorder treats
+  // it differently, exporting its end-of-window level instead of a delta.
+  void RegisterGauge(std::string name, Source source);
   // A diagnostic gauge: snapshotted into MetricsSnapshot::diagnostics, which
   // Hash() skips (see the field comment). Names share the counter namespace.
   void RegisterDiagnostic(std::string name, Source source);
+
+  // Counters and gauges by registration index. The order is fixed once a
+  // source is registered (later registrations only append), so a reader can
+  // difference two reads index by index without names.
+  size_t counter_count() const { return counters_.size(); }
+  const std::string& counter_name(size_t i) const { return counters_[i].first; }
+  bool counter_is_gauge(size_t i) const { return gauges_[i]; }
+  // Reads every counter and gauge source into `values`, in registration
+  // order: no names, no sort, and no allocation once `values` has capacity.
+  void ReadCounters(std::vector<uint64_t>* values) const;
 
   // Named histogram, created on first use.
   Log2Histogram& Histogram(const std::string& name) { return histograms_[name]; }
@@ -116,7 +131,11 @@ class MetricsRegistry {
   std::string DumpJson(SimTime now) const;
 
  private:
+  void CheckUnregistered(const std::string& name) const;
+
+  // Counters and gauges, in registration order.
   std::vector<std::pair<std::string, Source>> counters_;
+  std::vector<bool> gauges_;  // by counters_ index
   std::vector<std::pair<std::string, Source>> diagnostics_;
   std::map<std::string, Log2Histogram> histograms_;
 };

@@ -174,8 +174,10 @@ void UdpRpcTransport::OnDatagram(SockAddr from, MbufChain payload) {
   // default RTO (every request retransmitted, nothing ever sampled — e.g.
   // 8 KB reads over the 56 Kbps line vs the 1 s default), and time since
   // first transmission is a safe overestimate for bootstrapping. Once the
-  // estimator is live, Karn applies, so loss stalls never pollute it.
-  if (!pending.retransmitted || !rto_policy_.estimator(pending.cls).valid()) {
+  // estimator is live, Karn applies, so loss stalls never pollute it. kOther
+  // has no estimator: its RTO is the mount's constant timeout.
+  if (pending.cls != RpcTimerClass::kOther &&
+      (!pending.retransmitted || !rto_policy_.estimator(pending.cls).valid())) {
     rto_policy_.AddSample(pending.cls, rtt);
   }
   cwnd_.OnReply();

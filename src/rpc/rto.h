@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "src/sim/time.h"
+#include "src/util/logging.h"
 
 namespace renonfs {
 
@@ -81,7 +82,9 @@ class RtoPolicy {
   // RTO for a request on its `tries`-th transmission (exponential backoff).
   SimTime BackedOffRto(RpcTimerClass cls, int tries) const;
 
+  // Only the timed classes have one; kOther is always the constant timeout.
   const RttEstimator& estimator(RpcTimerClass cls) const {
+    CHECK(cls != RpcTimerClass::kOther) << "rto: kOther has no RTT estimator";
     return estimators_[static_cast<size_t>(cls)];
   }
   const RtoPolicyOptions& options() const { return options_; }

@@ -109,7 +109,7 @@ void World::InitObservability() {
     m.RegisterCounter("server.lease.vacated", &s.vacated);
     m.RegisterCounter("server.lease.expired", &s.expired);
     m.RegisterCounter("server.lease.evictions", &s.evictions);
-    m.RegisterCounter("server.lease.active", [this] { return server_->lease_table().active_leases(); });
+    m.RegisterGauge("server.lease.active", [this] { return server_->lease_table().active_leases(); });
     m.RegisterCounter("server.lease.recall_p99_us", [this] {
       return server_->lease_table().recall_latency_us().Percentile(0.99);
     });
@@ -262,7 +262,7 @@ void World::InitObservability() {
                       [&ledger, base_allocs] { return ledger.allocs() - base_allocs; });
     m.RegisterCounter("mbuf.ledger.cluster_frees",
                       [&ledger, base_frees] { return ledger.frees() - base_frees; });
-    m.RegisterCounter("mbuf.ledger.clusters_live", [&ledger] { return ledger.live(); });
+    m.RegisterGauge("mbuf.ledger.clusters_live", [&ledger] { return ledger.live(); });
   }
 
   // --- span collector + flight recorder diagnostics -------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -603,6 +604,11 @@ struct PersonalityCase {
   const char* name;
   NfsMountOptions (*make)();
 };
+
+// Print a case by name: gtest's default dumps the struct's raw bytes, which
+// are pointers and so differ from run to run under ASLR, and --gtest_list_tests
+// shows that dump next to each test name.
+void PrintTo(const PersonalityCase& c, std::ostream* os) { *os << c.name; }
 
 class NfsDataIntegrityTest : public ::testing::TestWithParam<PersonalityCase> {};
 

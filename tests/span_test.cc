@@ -1,8 +1,12 @@
 // Span-collector tests: the conservation invariant under a fault-heavy
-// chaos soak, head-sampling determinism, flight-recorder ring eviction,
-// top-K slow-op retention, and timing-neutrality of the passive sink.
+// chaos soak, head-sampling determinism, the flight recorder (ring eviction,
+// equivalence with snapshot deltas, gauge levels, lazy storage), top-K
+// slow-op retention, and timing-neutrality of the passive sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <deque>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -206,6 +210,220 @@ TEST(SpanTest, FlightRecorderRingEvictsOldestFrames) {
   const uint64_t captured = flight.frames_captured();
   sched.RunUntil(Milliseconds(200));
   EXPECT_EQ(flight.frames_captured(), captured);
+}
+
+// Reference exports over frames built the straightforward way, from a full
+// MetricsSnapshot per tick and DeltaSince the previous one. The recorder's
+// index-ordered ring must reproduce them byte for byte.
+struct ReferenceFrame {
+  SimTime at = 0;
+  MetricsSnapshot delta;
+};
+
+std::string ReferenceJsonl(const std::deque<ReferenceFrame>& frames) {
+  std::string out;
+  char buf[192];
+  for (const ReferenceFrame& f : frames) {
+    std::snprintf(buf, sizeof(buf), "{\"at_ms\":%.3f,\"window_ms\":%.3f,\"counters\":{",
+                  static_cast<double>(f.at) / 1e6, static_cast<double>(f.delta.at) / 1e6);
+    out += buf;
+    bool first = true;
+    for (const auto& [name, value] : f.delta.counters) {
+      if (value != 0) {
+        std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", first ? "" : ",", name.c_str(),
+                      static_cast<unsigned long long>(value));
+        out += buf;
+        first = false;
+      }
+    }
+    out += "}}\n";
+  }
+  return out;
+}
+
+std::string ReferenceCsv(const std::deque<ReferenceFrame>& frames) {
+  std::string out = "at_ms,name,delta\n";
+  char buf[192];
+  for (const ReferenceFrame& f : frames) {
+    for (const auto& [name, value] : f.delta.counters) {
+      if (value != 0) {
+        std::snprintf(buf, sizeof(buf), "%.3f,%s,%llu\n", static_cast<double>(f.at) / 1e6,
+                      name.c_str(), static_cast<unsigned long long>(value));
+        out += buf;
+      }
+    }
+  }
+  return out;
+}
+
+std::string ReferenceTail(const std::deque<ReferenceFrame>& frames, size_t n) {
+  const size_t start = frames.size() > n ? frames.size() - n : 0;
+  std::string out;
+  char buf[160];
+  for (size_t i = start; i < frames.size(); ++i) {
+    std::vector<const std::pair<std::string, uint64_t>*> top;
+    for (const auto& c : frames[i].delta.counters) {
+      if (c.second != 0) {
+        top.push_back(&c);
+      }
+    }
+    std::sort(top.begin(), top.end(),
+              [](const auto* a, const auto* b) { return a->second > b->second; });
+    std::snprintf(buf, sizeof(buf), "[%12.3f ms]", static_cast<double>(frames[i].at) / 1e6);
+    out += buf;
+    const size_t shown = std::min<size_t>(top.size(), 5);
+    for (size_t k = 0; k < shown; ++k) {
+      std::snprintf(buf, sizeof(buf), " %s=+%llu", top[k]->first.c_str(),
+                    static_cast<unsigned long long>(top[k]->second));
+      out += buf;
+    }
+    if (top.size() > shown) {
+      std::snprintf(buf, sizeof(buf), " (+%zu more)", top.size() - shown);
+      out += buf;
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+// The recorder differences by registry index and names frames only at
+// export; the result must equal full snapshots differenced by name, across
+// pseudo-random bumps (zeros and ties included), a counter registered
+// mid-run, and several ring wrap-arounds.
+TEST(SpanTest, FlightRecorderMatchesSnapshotDeltas) {
+  Scheduler sched;
+  MetricsRegistry registry;
+  // Registered out of name order, so index order and export order differ.
+  const std::vector<std::string> names = {"rpc.calls", "disk.busy_ns", "zeta.idle", "net.frames",
+                                          "cpu.ns.copy", "a.first", "lease.granted", "m.ties"};
+  std::deque<uint64_t> values(names.size() + 1, 0);  // stable addresses
+  for (size_t i = 0; i < names.size(); ++i) {
+    registry.RegisterCounter(names[i], &values[i]);
+  }
+
+  FlightOptions options;
+  options.interval = Milliseconds(10);
+  options.capacity = 7;
+  FlightRecorder flight(sched, registry, options);
+  MetricsSnapshot last = registry.Snapshot(sched.now());
+  flight.Start();
+
+  std::deque<ReferenceFrame> reference;
+  uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  constexpr int kTicks = 40;
+  for (int tick = 1; tick <= kTicks; ++tick) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] += next() % 4;  // small bumps: plenty of zeros and ties
+    }
+    // Late enough that the ring still holds frames from before it; it starts
+    // non-zero, so its first delta is its full value.
+    if (tick == kTicks - 4) {
+      registry.RegisterCounter("late.registered", &values[names.size()]);
+    }
+    sched.RunUntil(Milliseconds(10) * tick);
+    const MetricsSnapshot snapshot = registry.Snapshot(sched.now());
+    reference.push_back({sched.now(), snapshot.DeltaSince(last)});
+    if (reference.size() > options.capacity) {
+      reference.pop_front();
+    }
+    last = snapshot;
+  }
+  flight.Stop();
+
+  ASSERT_EQ(flight.frames_captured(), static_cast<uint64_t>(kTicks));
+  ASSERT_EQ(flight.size(), reference.size());
+  EXPECT_EQ(flight.ToJsonl(), ReferenceJsonl(reference));
+  EXPECT_EQ(flight.ToCsv(), ReferenceCsv(reference));
+  EXPECT_EQ(flight.Tail(5), ReferenceTail(reference, 5));
+  EXPECT_EQ(flight.Tail(100), ReferenceTail(reference, 100));
+  const std::vector<FlightRecorder::Frame> frames = flight.Frames();
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].at, reference[i].at);
+    EXPECT_EQ(frames[i].delta.at, reference[i].delta.at);
+    EXPECT_EQ(frames[i].delta.counters, reference[i].delta.counters);
+    EXPECT_TRUE(frames[i].gauges.empty());
+  }
+}
+
+// A gauge is a level: when it falls the frame shows the new level, never the
+// 2^64 - k that differencing an unsigned level would produce. Snapshots keep
+// the gauge among the hashed counters.
+TEST(SpanTest, FlightRecorderExportsGaugeLevels) {
+  Scheduler sched;
+  MetricsRegistry registry;
+  uint64_t ops = 0;
+  uint64_t live = 5;
+  registry.RegisterCounter("test.ops", &ops);
+  registry.RegisterGauge("test.live", [&live] { return live; });
+  EXPECT_TRUE(registry.Snapshot(0).Has("test.live"));
+
+  FlightOptions options;
+  options.interval = Milliseconds(10);
+  FlightRecorder flight(sched, registry, options);
+  flight.Start();
+  const std::vector<uint64_t> levels = {3, 0, 7, 7};
+  for (size_t i = 0; i < levels.size(); ++i) {
+    ops += 2;
+    live = levels[i];
+    sched.RunUntil(Milliseconds(10) * static_cast<SimTime>(i + 1));
+  }
+  flight.Stop();
+
+  const std::vector<FlightRecorder::Frame> frames = flight.Frames();
+  ASSERT_EQ(frames.size(), levels.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].gauges,
+              (std::vector<std::pair<std::string, uint64_t>>{{"test.live", levels[i]}}));
+    EXPECT_EQ(frames[i].delta.counters,
+              (std::vector<std::pair<std::string, uint64_t>>{{"test.ops", 2}}));
+  }
+  EXPECT_EQ(flight.ToJsonl(),
+            "{\"at_ms\":10.000,\"window_ms\":10.000,\"counters\":{\"test.ops\":2},"
+            "\"gauges\":{\"test.live\":3}}\n"
+            "{\"at_ms\":20.000,\"window_ms\":10.000,\"counters\":{\"test.ops\":2},"
+            "\"gauges\":{\"test.live\":0}}\n"
+            "{\"at_ms\":30.000,\"window_ms\":10.000,\"counters\":{\"test.ops\":2},"
+            "\"gauges\":{\"test.live\":7}}\n"
+            "{\"at_ms\":40.000,\"window_ms\":10.000,\"counters\":{\"test.ops\":2},"
+            "\"gauges\":{\"test.live\":7}}\n");
+  EXPECT_EQ(flight.ToCsv().find("test.live"), std::string::npos);
+  EXPECT_EQ(flight.Tail(10).find("test.live"), std::string::npos);
+}
+
+// Every World builds a recorder, but most runs never start it: until Start()
+// it holds no frame storage. Once the ring is full, further ticks reuse the
+// slots and the previous-read buffers without growing them.
+TEST(SpanTest, FlightRecorderAllocatesOnlyOnceStarted) {
+  Scheduler sched;
+  MetricsRegistry registry;
+  uint64_t counter = 0;
+  registry.RegisterCounter("test.ticks", &counter);
+  registry.RegisterCounter("test.other", &counter);
+
+  FlightOptions options;
+  options.interval = Milliseconds(10);
+  options.capacity = 4;
+  FlightRecorder flight(sched, registry, options);
+  sched.RunUntil(Milliseconds(100));
+  EXPECT_EQ(flight.storage_bytes(), 0u);
+  EXPECT_EQ(flight.size(), 0u);
+
+  flight.Start();
+  EXPECT_GT(flight.storage_bytes(), 0u);
+  sched.RunUntil(Milliseconds(100) + Milliseconds(10) * 5);  // fills the ring
+  const size_t full = flight.storage_bytes();
+  for (int i = 1; i <= 20; ++i) {
+    ++counter;
+    sched.RunUntil(Milliseconds(150) + Milliseconds(10) * i);
+  }
+  EXPECT_EQ(flight.frames_captured(), 25u);
+  EXPECT_EQ(flight.storage_bytes(), full);
 }
 
 // Slow-op retention: at most top_k entries per proc, sorted slowest-first,
