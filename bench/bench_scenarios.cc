@@ -15,15 +15,21 @@
 //                  BENCH_scenarios.json in full mode, none in --quick)
 //   --artifacts <dir>  where failing cells drop replayable .trace files
 //                  (default ".")
+//   --baseline <json>  compare each cell's snapshot hash and replay verdict
+//                  with the cell of the same name in a committed capture;
+//                  under --check any difference fails. Writes no capture
+//                  unless --out is given.
 //
-// scripts/check.sh runs `--quick --check` under ASan; BENCH_scenarios.json
-// archives a full-mode capture. A failing cell writes
+// scripts/check.sh runs `--quick --check` under ASan and the full matrix
+// with `--check --baseline BENCH_scenarios.json` on the plain build;
+// BENCH_scenarios.json archives a full-mode capture. A failing cell writes
 // <artifacts>/scenario_<name>.trace — replay it with
 // `chaos_demo --replay <file>`.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -221,12 +227,65 @@ void WriteJson(const std::string& path, const std::vector<CellResult>& cells) {
   std::printf("wrote %s (%zu cells)\n", path.c_str(), cells.size());
 }
 
+// Finds `"<key>": "<value>"` for the named cell in a capture written by
+// WriteJson — a targeted string search, since the format is ours.
+bool BaselineField(const std::string& json, const std::string& cell,
+                   const std::string& key, std::string* value) {
+  const size_t cell_at = json.find("\"name\": \"" + JsonEscape(cell) + "\"");
+  if (cell_at == std::string::npos) {
+    return false;
+  }
+  const std::string tag = "\"" + key + "\": \"";
+  const size_t key_at = json.find(tag, cell_at);
+  const size_t next_cell = json.find("\"name\": \"", cell_at + 1);
+  if (key_at == std::string::npos || key_at > next_cell) {
+    return false;
+  }
+  const size_t start = key_at + tag.size();
+  *value = json.substr(start, json.find('"', start) - start);
+  return true;
+}
+
+// Every cell present in the baseline must reproduce its recorded snapshot
+// hash and (when --check replayed it) its replay verdict; cells the baseline
+// lacks are reported, not failed.
+void CompareBaseline(const std::string& path, const std::vector<CellResult>& cells) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bench_scenarios: cannot read baseline %s\n", path.c_str());
+    ++g_failures;
+    return;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  size_t compared = 0;
+  for (const CellResult& cell : cells) {
+    const std::string& name = cell.scenario.name;
+    std::string hash, replay;
+    if (!BaselineField(json, name, "snapshot_hash", &hash) ||
+        !BaselineField(json, name, "replay", &replay)) {
+      std::printf("baseline: %s not in %s\n", name.c_str(), path.c_str());
+      continue;
+    }
+    ++compared;
+    Check(hash == HashHex(cell.report.snapshot_hash),
+          "cell " + name + " snapshot hash " + HashHex(cell.report.snapshot_hash) +
+              " != baseline " + hash);
+    Check(cell.replay == "skipped" || replay == cell.replay,
+          "cell " + name + " replay " + cell.replay + " != baseline " + replay);
+  }
+  std::printf("baseline: compared %zu of %zu cells with %s\n", compared, cells.size(),
+              path.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool check = false;
   std::string out_path;
   std::string artifacts = ".";
+  std::string baseline;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       g_quick = true;
@@ -236,15 +295,17 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--artifacts") == 0 && i + 1 < argc) {
       artifacts = argv[++i];
+    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
+      baseline = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--check] [--out <json>] "
-                   "[--artifacts <dir>]\n",
+                   "[--artifacts <dir>] [--baseline <json>]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (out_path.empty() && !g_quick) {
+  if (out_path.empty() && !g_quick && baseline.empty()) {
     out_path = "BENCH_scenarios.json";
   }
 
@@ -280,6 +341,9 @@ int main(int argc, char** argv) {
 
   if (!out_path.empty()) {
     WriteJson(out_path, results);
+  }
+  if (!baseline.empty()) {
+    CompareBaseline(baseline, results);
   }
 
   if (check) {

@@ -122,6 +122,16 @@ fi
 # every op and zero collector pool spills.
 ./build/bench/bench_breakdown --quick --check
 
+# Scenario-matrix hash gate (BENCH_scenarios.json, plain build): every one of
+# the 22 full-matrix cells must pass its gates, replay divergence-free, and
+# reproduce its committed metrics-snapshot hash — the determinism contract
+# behaviour-preserving refactors are judged by. A hash that moves on purpose
+# means re-capturing the file with `bench_scenarios --check`.
+MATRIX_TMP="$(mktemp -d /tmp/renonfs_matrix.XXXXXX)"
+./build/bench/bench_scenarios --check --baseline BENCH_scenarios.json \
+  --artifacts "${MATRIX_TMP}" | tail -n 2
+rm -rf "${MATRIX_TMP}"
+
 # Trace + timeline validation: a short chaos run must emit a well-formed
 # Chrome trace (monotonic per-track timestamps, balanced async spans, flow
 # steps tied to their starts, client/server span nesting) and a well-formed

@@ -21,7 +21,8 @@ bool Medium::Transmit(Frame frame) {
     ++stats_.frames_dropped_down;
     return true;
   }
-  if (in_queue_ >= config_.queue_limit) {
+  ReapEventless();
+  if (pending_.size() >= config_.queue_limit) {
     ++stats_.frames_dropped_queue;
     // Collateral damage: overflow pressure sometimes costs a recently queued
     // frame as well (fragment interleaving on a real store-and-forward
@@ -32,8 +33,8 @@ bool Medium::Transmit(Frame frame) {
     if (!pending_.empty() && rng_.Bernoulli(0.4)) {
       const size_t tail_window = std::min<size_t>(pending_.size(), 4);
       const size_t victim = pending_.size() - 1 - rng_.UniformUint64(tail_window);
-      if (*pending_[victim]) {
-        *pending_[victim] = false;
+      if (pending_[victim].alive) {
+        pending_[victim].alive = false;
         ++stats_.frames_damaged;
       }
     }
@@ -44,7 +45,7 @@ bool Medium::Transmit(Frame frame) {
     // Lost on the wire: it still occupies the sender's bandwidth slot, but
     // never arrives. Model as a queued transmission with no delivery.
     ++stats_.frames_dropped_loss;
-    StartOrQueue(frame.WireBytes(config_.framing_bytes), []() {});
+    QueueEventless(frame.WireBytes(config_.framing_bytes));
     return true;
   }
   SimTime extra_delay = 0;
@@ -122,12 +123,28 @@ void Medium::InjectBackground(size_t wire_bytes) {
     ++stats_.frames_dropped_down;
     return;
   }
-  if (in_queue_ >= config_.queue_limit) {
+  ReapEventless();
+  if (pending_.size() >= config_.queue_limit) {
     ++stats_.frames_dropped_queue;
     return;
   }
   ++stats_.background_frames;
-  StartOrQueue(wire_bytes, []() {});
+  QueueEventless(wire_bytes);
+}
+
+bool Medium::Dequeue(uint64_t ticket) {
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [ticket](const Queued& q) { return q.ticket == ticket; });
+  CHECK(it != pending_.end());
+  const bool alive = it->alive;
+  pending_.erase(it);
+  return alive;
+}
+
+void Medium::ReapEventless() {
+  std::erase_if(pending_, [this](const Queued& q) {
+    return q.ticket == 0 && scheduler_.HasFired(q.arrival, q.seq);
+  });
 }
 
 }  // namespace renonfs

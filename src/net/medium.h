@@ -6,13 +6,14 @@
 // propagation delay. A finite queue produces tail drops under congestion,
 // and an optional random loss probability models noisy lines. Background
 // cross-traffic is injected as anonymous frames that occupy bandwidth and
-// queue slots (the paper's runs shared production networks).
+// queue slots (the paper's runs shared production networks). A frame that
+// will never be delivered (background, or lost on the wire) schedules no
+// event: it is a lazy queue entry, reaped once its arrival has passed.
 #ifndef RENONFS_SRC_NET_MEDIUM_H_
 #define RENONFS_SRC_NET_MEDIUM_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 #include <optional>
 #include <string>
@@ -173,35 +174,56 @@ class Medium {
   }
 
  private:
-  // Claims the line for `wire_bytes` of serialization time and schedules
-  // `on_delivered` at the arrival instant (unless the frame is damaged in
-  // the queue meanwhile). Runs on every frame, so the callable forwards
-  // straight into the scheduler's pooled inline storage — no std::function.
+  // One frame queued or in flight, in transmit order. A frame with a
+  // delivery event carries a nonzero ticket and leaves the queue when that
+  // event fires. An eventless frame (ticket 0) is a virtual event stamped
+  // (arrival, seq) — see Scheduler::HasFired — and ReapEventless() drops it
+  // once that stamp has fired: exactly where an arrival event scheduled at
+  // injection would have removed it. `alive` is cleared by collateral damage.
+  struct Queued {
+    SimTime arrival;
+    uint64_t seq;
+    uint64_t ticket;
+    bool alive;
+  };
+
+  // Claims the line for `wire_bytes` of serialization time; returns the
+  // absolute arrival instant at the link-layer destination.
+  SimTime ClaimLine(size_t wire_bytes, SimTime extra_delay = 0) {
+    const SimTime serialization = TransmissionTime(wire_bytes, config_.bits_per_sec);
+    busy_until_ = std::max(busy_until_, scheduler_.now()) + serialization;
+    stats_.bytes_on_wire += wire_bytes;
+    return busy_until_ + config_.propagation_delay + extra_latency_ + extra_delay;
+  }
+
+  // Claims the line and schedules `on_delivered` at the arrival instant
+  // (unless the frame is damaged in the queue meanwhile). Runs on every
+  // delivered frame, so the callable forwards straight into the scheduler's
+  // pooled inline storage — no std::function.
   template <typename F>
   void StartOrQueue(size_t wire_bytes, F&& on_delivered, SimTime extra_delay = 0) {
-    ++in_queue_;
-    auto alive = std::make_shared<bool>(true);
-    pending_.push_back(alive);
-    const SimTime serialization = TransmissionTime(wire_bytes, config_.bits_per_sec);
-    const SimTime start = std::max(busy_until_, scheduler_.now());
-    busy_until_ = start + serialization;
-    stats_.bytes_on_wire += wire_bytes;
-    const SimTime arrival =
-        busy_until_ + config_.propagation_delay + extra_latency_ + extra_delay - scheduler_.now();
-    scheduler_.Schedule(arrival, [this, alive, done = std::forward<F>(on_delivered)]() mutable {
-      CHECK_GT(in_queue_, 0u);
-      --in_queue_;
-      for (size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i] == alive) {
-          pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-          break;
-        }
-      }
-      if (*alive) {
-        done();
-      }
-    });
+    const SimTime arrival = ClaimLine(wire_bytes, extra_delay);
+    const uint64_t ticket = ++last_ticket_;
+    pending_.push_back(Queued{arrival, scheduler_.next_seq(), ticket, true});
+    scheduler_.Schedule(arrival - scheduler_.now(),
+                        [this, ticket, done = std::forward<F>(on_delivered)]() mutable {
+                          if (Dequeue(ticket)) {
+                            done();
+                          }
+                        });
   }
+  // Claims the line for a frame that will never be delivered; it holds a
+  // queue slot until its arrival instant but costs the scheduler nothing.
+  void QueueEventless(size_t wire_bytes) {
+    const SimTime arrival = ClaimLine(wire_bytes);
+    pending_.push_back(Queued{arrival, scheduler_.next_seq(), 0, true});
+  }
+  // Removes the entry for `ticket`; returns whether it was still undamaged.
+  bool Dequeue(uint64_t ticket);
+  // Drops every eventless entry whose arrival has fired. Runs before each
+  // read of the queue (Transmit, InjectBackground), so occupancy and victim
+  // selection see exactly the entries an event-per-frame queue would hold.
+  void ReapEventless();
   // Queues one (possibly damaged) copy of the frame for delivery.
   void Deliver(Frame frame, SimTime extra_delay);
 
@@ -211,15 +233,15 @@ class Medium {
   MediumStats stats_;
   std::unordered_map<HostId, Receiver> taps_;
   SimTime busy_until_ = 0;
-  size_t in_queue_ = 0;
   bool down_ = false;
   Tracer* tracer_ = nullptr;
   uint16_t trace_track_ = 0;
   double transient_loss_ = 0.0;
   SimTime extra_latency_ = 0;
   CorruptionConfig corruption_;
-  // Alive flags for queued/in-flight frames; damaged frames are flipped off.
-  std::vector<std::shared_ptr<bool>> pending_;
+  // Queued and in-flight frames; occupancy is pending_.size() once reaped.
+  std::vector<Queued> pending_;
+  uint64_t last_ticket_ = 0;
 };
 
 }  // namespace renonfs

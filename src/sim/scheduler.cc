@@ -232,7 +232,10 @@ size_t Scheduler::FireCurrentTick() {
       // inside its own callback (legacy parity), and a Cancel from the
       // callback must be a harmless no-op.
       node->cancelled = true;
+      firing_ = true;
+      firing_seq_ = node->seq;
       node->fn.Invoke();
+      firing_ = false;
       node->fn.Destroy();
       RecycleNode(node);
       ++executed;
@@ -321,7 +324,10 @@ size_t Scheduler::RunUntilLegacy(SimTime deadline) {
     }
     now_ = event.at;
     event.record->fired = true;
+    firing_ = true;
+    firing_seq_ = event.seq;
     event.fn();
+    firing_ = false;
     ++executed;
     ++events_executed_;
   }

@@ -192,6 +192,21 @@ class Scheduler {
   // callers then fall back to Cancel + Schedule.
   bool Reschedule(EventHandle& handle, SimTime delay);
 
+  // The sequence stamp the next Schedule() will carry, without consuming it.
+  // Paired with HasFired, this lets a component record a "virtual event" at
+  // (at, next_seq()) that costs no scheduler work yet orders against real
+  // events exactly as a real event scheduled at that point would have: real
+  // events scheduled later carry stamps >= it, earlier ones stamps < it.
+  uint64_t next_seq() const { return next_seq_; }
+
+  // True once a virtual event stamped (at, seq) would have fired: `at` lies
+  // in the past, or `at` is now and either no callback is running (RunUntil
+  // has finished every event at or before now) or the firing event's stamp
+  // is >= seq. See DESIGN.md §14.
+  bool HasFired(SimTime at, uint64_t seq) const {
+    return at < now_ || (at == now_ && (!firing_ || seq <= firing_seq_));
+  }
+
   // Runs events until the queue drains or the optional deadline is reached.
   // Returns the number of events executed.
   size_t Run();
@@ -263,6 +278,9 @@ class Scheduler {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   size_t events_executed_ = 0;
+  // Stamp of the callback being invoked, for HasFired; both backends set it.
+  bool firing_ = false;
+  uint64_t firing_seq_ = 0;
 
   // --- timing-wheel backend state ---
   // Wheel cursor: <= every pending event's time. Advances past now_ only

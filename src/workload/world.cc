@@ -110,7 +110,8 @@ void World::InitObservability() {
     m.RegisterCounter("server.lease.expired", &s.expired);
     m.RegisterCounter("server.lease.evictions", &s.evictions);
     m.RegisterGauge("server.lease.active", [this] { return server_->lease_table().active_leases(); });
-    m.RegisterCounter("server.lease.recall_p99_us", [this] {
+    // A percentile can fall between frames, so it is a level, not a count.
+    m.RegisterGauge("server.lease.recall_p99_us", [this] {
       return server_->lease_table().recall_latency_us().Percentile(0.99);
     });
   }

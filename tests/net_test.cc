@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -157,6 +158,97 @@ TEST(MediumTest, BackgroundTrafficOccupiesBandwidth) {
   medium.Transmit(std::move(f));
   sched.Run();
   EXPECT_GT(arrival, Milliseconds(8));  // queued behind the background frame
+}
+
+Frame FrameTo(HostId next_hop, size_t payload_bytes) {
+  Frame f;
+  f.src = 1;
+  f.dst = next_hop;
+  f.link_next_hop = next_hop;
+  f.payload = MbufChain::FromString(std::string(payload_bytes, 'x'));
+  return f;
+}
+
+// Background frames schedule no arrival event, yet must free their queue
+// slot at the same point in the firing order as an event would have: after
+// every event scheduled before the injection at that instant, before every
+// event scheduled after it.
+TEST(MediumTest, BackgroundSlotFreesAtItsArrivalInSchedulingOrder) {
+  for (const SchedulerBackend backend :
+       {SchedulerBackend::kTimingWheel, SchedulerBackend::kLegacyHeap}) {
+    for (const bool scheduled_after : {false, true}) {
+      Scheduler sched(backend);
+      MediumConfig config = MediumConfig::Ethernet10("lan");
+      config.queue_limit = 3;
+      Medium medium(sched, config, Rng(1));
+      int delivered = 0;
+      medium.Attach(2, [&](Frame) { ++delivered; });
+      const SimTime first_arrival =
+          TransmissionTime(1000, config.bits_per_sec) + config.propagation_delay;
+      std::optional<bool> accepted;
+      auto transmit = [&]() { accepted = medium.Transmit(FrameTo(2, 100)); };
+      if (!scheduled_after) {
+        sched.Schedule(first_arrival, transmit);
+      }
+      for (size_t i = 0; i < config.queue_limit; ++i) {
+        medium.InjectBackground(1000);
+      }
+      if (scheduled_after) {
+        sched.Schedule(first_arrival, transmit);
+      }
+      sched.Run();
+      ASSERT_TRUE(accepted.has_value());
+      EXPECT_EQ(*accepted, scheduled_after) << "scheduled_after=" << scheduled_after;
+      EXPECT_EQ(medium.stats().frames_dropped_queue, scheduled_after ? 0u : 1u);
+      EXPECT_EQ(delivered, scheduled_after ? 1 : 0);
+      EXPECT_EQ(medium.stats().background_frames, config.queue_limit);
+    }
+  }
+}
+
+TEST(MediumTest, OverflowDamageCountsOnBackgroundEntries) {
+  Scheduler sched;
+  MediumConfig config = MediumConfig::Ethernet10("lan");
+  config.queue_limit = 4;
+  Medium medium(sched, config, Rng(3));
+  medium.Attach(2, [](Frame) {});
+  for (size_t i = 0; i < config.queue_limit; ++i) {
+    medium.InjectBackground(1500);
+  }
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_FALSE(medium.Transmit(FrameTo(2, 100)));
+  }
+  // Every queued entry is a background frame, so every victim is one; the
+  // tail window holds all four, and a victim is counted once.
+  EXPECT_EQ(medium.stats().frames_dropped_queue, 40u);
+  EXPECT_GE(medium.stats().frames_damaged, 1u);
+  EXPECT_LE(medium.stats().frames_damaged, 4u);
+  sched.Run();
+  EXPECT_EQ(medium.stats().frames_delivered, 0u);
+}
+
+// Bursty background traffic against a foreground stream that overloads the
+// ring: the queue-slot accounting decides every drop and damage, so these
+// counts pin the lazy background entries to the event-per-frame model they
+// replaced (values recorded with one arrival event per background frame).
+TEST(MediumTest, SeededBackgroundTrafficPinsRingCounters) {
+  Scheduler sched;
+  Medium ring(sched, MediumConfig::TokenRing80("ring"), Rng(11));
+  ring.Attach(2, [](Frame) {});
+  BackgroundTraffic traffic(sched, &ring, 0.5, Rng(5));
+  traffic.Start();
+  std::function<void()> send = [&]() {
+    ring.Transmit(FrameTo(2, 1400));
+    sched.Schedule(Microseconds(160), send);
+  };
+  sched.Schedule(0, send);
+  sched.RunUntil(Seconds(2));
+  const MediumStats& stats = ring.stats();
+  EXPECT_EQ(stats.background_frames, 3568u);
+  EXPECT_EQ(stats.frames_dropped_queue, 9443u);
+  EXPECT_EQ(stats.bytes_on_wire, 20043800u);
+  EXPECT_EQ(stats.frames_delivered, 11858u);
+  EXPECT_EQ(stats.frames_damaged, 220u);
 }
 
 TopologyOptions QuietOptions() {

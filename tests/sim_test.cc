@@ -451,6 +451,77 @@ TEST(SchedulerWheelTest, TimerRestartIsAllocationFree) {
   EXPECT_GE(fires, 1u);
 }
 
+// --- virtual events: next_seq / HasFired ------------------------------------
+// A stamp (at, next_seq()) taken at some point must read as fired exactly
+// when a real event scheduled at that point would have fired, on both
+// backends. Medium's eventless queue entries rely on it.
+
+constexpr SchedulerBackend kBothBackends[] = {SchedulerBackend::kTimingWheel,
+                                               SchedulerBackend::kLegacyHeap};
+
+TEST(SchedulerStampTest, StampPeekedBeforeSameInstantEventCountsAsFired) {
+  for (const SchedulerBackend backend : kBothBackends) {
+    Scheduler sched(backend);
+    const uint64_t stamp = sched.next_seq();
+    EXPECT_EQ(sched.next_seq(), stamp);  // peeking consumes nothing
+    bool fired_inside = false;
+    sched.Schedule(Milliseconds(5), [&]() {
+      fired_inside = sched.HasFired(Milliseconds(5), stamp);
+    });
+    EXPECT_EQ(sched.next_seq(), stamp + 1);
+    sched.Run();
+    EXPECT_TRUE(fired_inside) << "backend " << static_cast<int>(backend);
+  }
+}
+
+TEST(SchedulerStampTest, StampPeekedAfterSameInstantEventIsPending) {
+  for (const SchedulerBackend backend : kBothBackends) {
+    Scheduler sched(backend);
+    bool fired_in_first = true;
+    bool fired_in_second = false;
+    uint64_t stamp = 0;
+    sched.Schedule(Milliseconds(5), [&]() {
+      fired_in_first = sched.HasFired(Milliseconds(5), stamp);
+    });
+    stamp = sched.next_seq();
+    sched.Schedule(Milliseconds(5), [&]() {
+      fired_in_second = sched.HasFired(Milliseconds(5), stamp);
+    });
+    sched.Run();
+    EXPECT_FALSE(fired_in_first) << "backend " << static_cast<int>(backend);
+    EXPECT_TRUE(fired_in_second) << "backend " << static_cast<int>(backend);
+  }
+}
+
+TEST(SchedulerStampTest, EarlierInstantsAlwaysCountAsFired) {
+  for (const SchedulerBackend backend : kBothBackends) {
+    Scheduler sched(backend);
+    bool earlier = false;
+    bool later = true;
+    sched.Schedule(Milliseconds(5), [&]() {
+      earlier = sched.HasFired(Milliseconds(5) - 1, ~uint64_t{0});
+      later = sched.HasFired(Milliseconds(5) + 1, 0);
+    });
+    sched.Run();
+    EXPECT_TRUE(earlier) << "backend " << static_cast<int>(backend);
+    EXPECT_FALSE(later) << "backend " << static_cast<int>(backend);
+  }
+}
+
+TEST(SchedulerStampTest, DeadlineStampCountsAsFiredAfterRunUntil) {
+  for (const SchedulerBackend backend : kBothBackends) {
+    Scheduler sched(backend);
+    sched.Schedule(Milliseconds(10), []() {});
+    // Peeked after the deadline's own event: as a real event it would fire
+    // last at the deadline, and RunUntil fires everything at the deadline.
+    const uint64_t stamp = sched.next_seq();
+    EXPECT_FALSE(sched.HasFired(Milliseconds(10), stamp));
+    sched.RunUntil(Milliseconds(10));
+    EXPECT_TRUE(sched.HasFired(Milliseconds(10), stamp)) << "backend " << static_cast<int>(backend);
+    EXPECT_FALSE(sched.HasFired(Milliseconds(10) + 1, 0));
+  }
+}
+
 TEST(FixedPoolTest, RecyclesBlocksAndTracksHighWater) {
   FixedPool pool("sim-test-pool", 64, 8, 4);
   void* a = pool.Allocate();

@@ -396,6 +396,21 @@ TEST(SpanTest, FlightRecorderExportsGaugeLevels) {
   EXPECT_EQ(flight.Tail(10).find("test.live"), std::string::npos);
 }
 
+// World registers the lease recall p99 as a gauge: a percentile can fall
+// between frames, and differenced as a counter it would wrap.
+TEST(SpanTest, WorldTimelineCarriesRecallP99AsGauge) {
+  World world(QuietWorldOptions());
+  ChaosReport report = RunChaos(world, OpMixChaos(40));
+  ASSERT_TRUE(report.workload_status.ok()) << report.workload_status;
+  const std::string frame =
+      report.timeline_jsonl.substr(0, report.timeline_jsonl.find('\n'));
+  const size_t gauges = frame.find("\"gauges\":{");
+  ASSERT_NE(gauges, std::string::npos) << frame;
+  const size_t recall = frame.find("\"server.lease.recall_p99_us\":");
+  EXPECT_NE(recall, std::string::npos) << frame;
+  EXPECT_GT(recall, gauges) << frame;  // in the gauges object, not the counters
+}
+
 // Every World builds a recorder, but most runs never start it: until Start()
 // it holds no frame storage. Once the ring is full, further ticks reuse the
 // slots and the previous-read buffers without growing them.
