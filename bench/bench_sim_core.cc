@@ -1,6 +1,5 @@
 // Sim-core microbenchmark: wall-clock events per second through the
-// discrete-event scheduler and the pooled allocators, on both backends —
-// the timing wheel (default) and the legacy binary heap it replaced.
+// timing-wheel discrete-event scheduler and the pooled allocators.
 //
 // Mixes:
 //   schedule_fire    batches of one-shot events at short pseudo-random
@@ -10,15 +9,13 @@
 //                    fire — dup-cache timers, abandoned retransmits.
 //   timer_churn      a fixed population of Timers re-armed far more often
 //                    than they expire — the retransmit/lease-renewal
-//                    profile, and the acceptance mix: the wheel must beat
-//                    the heap by >= 2x here.
+//                    profile.
 //   mbuf_churn       mbuf chain build / zero-copy share / teardown — pure
 //                    FixedPool recycling, no scheduler.
 //
-// Flags: --quick shrinks every mix for CI smoke; --legacy-heap reports only
-// the legacy backend (ablation); --json FILE writes the measured numbers in
-// BENCH_simcore.json form (regression floors = measured/8); --check exits 1
-// if timer_churn speedup < 2.0 or any mix lands under its floor in the
+// Flags: --quick shrinks every mix for CI smoke; --json FILE writes the
+// measured numbers in BENCH_simcore.json form (regression floors =
+// measured/8); --check exits 1 if any mix lands under its floor in the
 // baseline file (--baseline FILE, default BENCH_simcore.json).
 //
 // Wall-clock timing deliberately uses std::chrono::steady_clock: this bench
@@ -60,11 +57,11 @@ double Seconds(std::chrono::steady_clock::time_point start,
 }
 
 // Batched one-shot events: schedule kBatch at delays in [1us, 1ms], drain,
-// repeat. Batching keeps both backends at a realistic queue depth (~4k
-// outstanding) instead of testing one giant heap build.
-double RunScheduleFire(SchedulerBackend backend, size_t total_events) {
+// repeat. Batching keeps a realistic queue depth (~4k outstanding) instead
+// of testing one giant build-up.
+double RunScheduleFire(size_t total_events) {
   constexpr size_t kBatch = 4096;
-  Scheduler scheduler(backend);
+  Scheduler scheduler;
   Rng rng(0x5eedc0de);
   uint64_t fired = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -84,11 +81,10 @@ double RunScheduleFire(SchedulerBackend backend, size_t total_events) {
 }
 
 // As above, but every second event is cancelled before the drain. Events/sec
-// counts scheduled events (fired + cancelled): both backends do the same
-// logical work per event.
-double RunScheduleCancel(SchedulerBackend backend, size_t total_events) {
+// counts scheduled events (fired + cancelled).
+double RunScheduleCancel(size_t total_events) {
   constexpr size_t kBatch = 4096;
-  Scheduler scheduler(backend);
+  Scheduler scheduler;
   Rng rng(0xcafe);
   uint64_t fired = 0;
   std::vector<Scheduler::EventHandle> handles;
@@ -112,18 +108,15 @@ double RunScheduleCancel(SchedulerBackend backend, size_t total_events) {
   return static_cast<double>(total_events) / Seconds(start, stop);
 }
 
-// The acceptance mix: a fixed population of retransmit-style timers with
-// 10-60 ms timeouts, each re-armed every ~0.8 ms of simulated time — the
-// paper's NFS retransmit profile, where the timer restarts on every reply
-// and almost never expires (~99% of Starts cancel a still-pending event).
-// The legacy heap pays make_shared + an O(log n) push per restart and
-// carries every cancelled deadline as a tombstone until its tick finally
-// pops (~90k outstanding at steady state here); the wheel unlinks the
-// doubly-linked node and restamps it in place. Events/sec counts
-// starts + fires.
-double RunTimerChurn(SchedulerBackend backend, size_t total_starts) {
+// A fixed population of retransmit-style timers with 10-60 ms timeouts,
+// each re-armed every ~0.8 ms of simulated time — the paper's NFS
+// retransmit profile, where the timer restarts on every reply and almost
+// never expires (~99% of Starts move a still-pending event). The wheel
+// unlinks the doubly-linked node and restamps it in place. Events/sec
+// counts starts + fires.
+double RunTimerChurn(size_t total_starts) {
   constexpr size_t kTimers = 2048;
-  Scheduler scheduler(backend);
+  Scheduler scheduler;
   Rng rng(0x7133);
   uint64_t fires = 0;
   std::vector<std::unique_ptr<Timer>> timers;
@@ -162,9 +155,7 @@ double RunMbufChurn(size_t total_chains) {
 
 struct MixResult {
   std::string name;
-  double wheel_eps = 0;   // events/sec on the timing wheel
-  double legacy_eps = 0;  // events/sec on the legacy heap
-  double speedup = 0;
+  double eps = 0;  // events/sec
 };
 
 // Pulls "floor_events_per_sec" for one mix out of the baseline JSON with a
@@ -185,15 +176,12 @@ bool BaselineFloor(const std::string& json, const std::string& mix, double* floo
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool legacy_only = false;
   bool check = false;
   std::string json_file;
   std::string baseline_file = "BENCH_simcore.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       g_quick = true;
-    } else if (std::strcmp(argv[i], "--legacy-heap") == 0) {
-      legacy_only = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -202,8 +190,7 @@ int main(int argc, char** argv) {
       baseline_file = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--check] [--legacy-heap] "
-                   "[--baseline FILE] [--json FILE]\n",
+                   "usage: %s [--quick] [--check] [--baseline FILE] [--json FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -214,37 +201,17 @@ int main(int argc, char** argv) {
   const size_t churn_n = g_quick ? 100'000 : 1'000'000;
   const size_t mbuf_n = g_quick ? 20'000 : 200'000;
 
-  std::vector<MixResult> results;
-  auto run_mix = [&](const char* name, auto fn) {
-    MixResult r;
-    r.name = name;
-    if (!legacy_only) {
-      r.wheel_eps = fn(SchedulerBackend::kTimingWheel);
-    }
-    r.legacy_eps = fn(SchedulerBackend::kLegacyHeap);
-    r.speedup = r.legacy_eps > 0 ? r.wheel_eps / r.legacy_eps : 0;
-    results.push_back(r);
+  const std::vector<MixResult> results = {
+      {"schedule_fire", RunScheduleFire(fire_n)},
+      {"schedule_cancel", RunScheduleCancel(cancel_n)},
+      {"timer_churn", RunTimerChurn(churn_n)},
+      {"mbuf_churn", RunMbufChurn(mbuf_n)},
   };
-  run_mix("schedule_fire",
-          [&](SchedulerBackend b) { return RunScheduleFire(b, fire_n); });
-  run_mix("schedule_cancel",
-          [&](SchedulerBackend b) { return RunScheduleCancel(b, cancel_n); });
-  run_mix("timer_churn", [&](SchedulerBackend b) { return RunTimerChurn(b, churn_n); });
-  {
-    // Backend-independent (no scheduler): report the same number both ways.
-    MixResult r;
-    r.name = "mbuf_churn";
-    r.wheel_eps = RunMbufChurn(mbuf_n);
-    r.legacy_eps = r.wheel_eps;
-    r.speedup = 1.0;
-    results.push_back(r);
-  }
 
   TextTable table(std::string("sim-core events/sec (") + (g_quick ? "quick" : "full") + ")");
-  table.SetHeader({"mix", "wheel ev/s", "legacy ev/s", "speedup"});
+  table.SetHeader({"mix", "ev/s"});
   for (const MixResult& r : results) {
-    table.AddRow({r.name, TextTable::Num(r.wheel_eps, 0), TextTable::Num(r.legacy_eps, 0),
-                  TextTable::Num(r.speedup, 2)});
+    table.AddRow({r.name, TextTable::Num(r.eps, 0)});
   }
   std::printf("%s", table.Render().c_str());
 
@@ -255,13 +222,11 @@ int main(int argc, char** argv) {
     out << "  \"mixes\": {\n";
     for (size_t i = 0; i < results.size(); ++i) {
       const MixResult& r = results[i];
-      out << "    \"" << r.name << "\": {\"events_per_sec\": " << static_cast<uint64_t>(r.wheel_eps)
-          << ", \"legacy_events_per_sec\": " << static_cast<uint64_t>(r.legacy_eps)
-          << ", \"speedup\": " << r.speedup
-          << ", \"floor_events_per_sec\": " << static_cast<uint64_t>(r.wheel_eps / 8) << "}"
+      out << "    \"" << r.name << "\": {\"events_per_sec\": " << static_cast<uint64_t>(r.eps)
+          << ", \"floor_events_per_sec\": " << static_cast<uint64_t>(r.eps / 8) << "}"
           << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    out << "  },\n  \"acceptance\": {\"timer_churn_speedup_min\": 2.0}\n}\n";
+    out << "  }\n}\n";
     if (!out) {
       std::fprintf(stderr, "failed to write %s\n", json_file.c_str());
       return 1;
@@ -270,11 +235,6 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
-    for (const MixResult& r : results) {
-      if (r.name == "timer_churn" && !legacy_only) {
-        Check(r.speedup >= 2.0, "timer_churn: wheel must be >= 2x the legacy heap");
-      }
-    }
     std::ifstream in(baseline_file);
     if (!in) {
       std::fprintf(stderr, "bench_sim_core: no baseline %s; floors not checked\n",
@@ -289,10 +249,9 @@ int main(int argc, char** argv) {
           Check(false, "baseline is missing a floor for a mix");
           continue;
         }
-        const double measured = legacy_only ? r.legacy_eps : r.wheel_eps;
-        if (measured < floor) {
+        if (r.eps < floor) {
           std::fprintf(stderr, "CHECK FAILED: %s: %.0f ev/s under floor %.0f\n",
-                       r.name.c_str(), measured, floor);
+                       r.name.c_str(), r.eps, floor);
           ++g_failures;
         }
       }

@@ -209,8 +209,7 @@ int main(int argc, char** argv) {
                 world.spans().BreakdownTable().c_str());
   }
 
-  std::printf("\nSim core pools (%s backend):\n",
-              snap.Value("sim.sched.backend_wheel") != 0 ? "timing-wheel" : "legacy-heap");
+  std::printf("\nSim core pools:\n");
   std::printf("%-10s %10s %10s %10s %12s %12s\n", "pool", "total", "in_use", "highwater",
               "fresh", "recycled");
   std::printf("%-10s %10llu %10llu %10llu %12llu %12s\n", "event",

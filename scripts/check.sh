@@ -108,11 +108,10 @@ fi
 # --check fails the build if leases regress outside the Section 5 envelope.
 ./build/bench/bench_leases --quick --check
 
-# Sim-core events/sec gate (BENCH_simcore.json): the timing-wheel scheduler
-# must keep beating the legacy heap >= 2x on the timer-churn mix, and no mix
-# may land under its recorded regression floor (floor = captured full-run
-# rate / 8, generous enough for CI noise but not for an O(1)->O(log n)
-# backslide).
+# Sim-core events/sec gate (BENCH_simcore.json): no mix may land under its
+# recorded regression floor (floor = captured full-run rate / 8, generous
+# enough for CI noise but not for an O(1)->O(log n) backslide; the
+# timer-churn floor alone is about 6x what a binary-heap scheduler reaches).
 ./build/bench/bench_sim_core --quick --check --baseline BENCH_simcore.json
 
 # Latency-attribution gate (BENCH_breakdown.json in full mode): the span

@@ -68,10 +68,10 @@ struct MetricsSnapshot {
   // Sorted by name; names are unique.
   std::vector<std::pair<std::string, uint64_t>> counters;
   // Diagnostics are gauges about the simulator's own machinery (allocator
-  // pool occupancy, scheduler backend) rather than simulated behaviour. They
-  // are visible to Value()/Has() and the dumps but EXCLUDED from Hash():
-  // pool warmth legitimately differs across scheduler backends and across
-  // Worlds in one process, and must not fail replay divergence checks.
+  // pool occupancy) rather than simulated behaviour. They are visible to
+  // Value()/Has() and the dumps but EXCLUDED from Hash(): pool warmth
+  // legitimately differs across Worlds in one process, and must not fail
+  // replay divergence checks.
   std::vector<std::pair<std::string, uint64_t>> diagnostics;
 
   uint64_t Value(const std::string& name) const;  // 0 if absent

@@ -174,35 +174,32 @@ Frame FrameTo(HostId next_hop, size_t payload_bytes) {
 // every event scheduled before the injection at that instant, before every
 // event scheduled after it.
 TEST(MediumTest, BackgroundSlotFreesAtItsArrivalInSchedulingOrder) {
-  for (const SchedulerBackend backend :
-       {SchedulerBackend::kTimingWheel, SchedulerBackend::kLegacyHeap}) {
-    for (const bool scheduled_after : {false, true}) {
-      Scheduler sched(backend);
-      MediumConfig config = MediumConfig::Ethernet10("lan");
-      config.queue_limit = 3;
-      Medium medium(sched, config, Rng(1));
-      int delivered = 0;
-      medium.Attach(2, [&](Frame) { ++delivered; });
-      const SimTime first_arrival =
-          TransmissionTime(1000, config.bits_per_sec) + config.propagation_delay;
-      std::optional<bool> accepted;
-      auto transmit = [&]() { accepted = medium.Transmit(FrameTo(2, 100)); };
-      if (!scheduled_after) {
-        sched.Schedule(first_arrival, transmit);
-      }
-      for (size_t i = 0; i < config.queue_limit; ++i) {
-        medium.InjectBackground(1000);
-      }
-      if (scheduled_after) {
-        sched.Schedule(first_arrival, transmit);
-      }
-      sched.Run();
-      ASSERT_TRUE(accepted.has_value());
-      EXPECT_EQ(*accepted, scheduled_after) << "scheduled_after=" << scheduled_after;
-      EXPECT_EQ(medium.stats().frames_dropped_queue, scheduled_after ? 0u : 1u);
-      EXPECT_EQ(delivered, scheduled_after ? 1 : 0);
-      EXPECT_EQ(medium.stats().background_frames, config.queue_limit);
+  for (const bool scheduled_after : {false, true}) {
+    Scheduler sched;
+    MediumConfig config = MediumConfig::Ethernet10("lan");
+    config.queue_limit = 3;
+    Medium medium(sched, config, Rng(1));
+    int delivered = 0;
+    medium.Attach(2, [&](Frame) { ++delivered; });
+    const SimTime first_arrival =
+        TransmissionTime(1000, config.bits_per_sec) + config.propagation_delay;
+    std::optional<bool> accepted;
+    auto transmit = [&]() { accepted = medium.Transmit(FrameTo(2, 100)); };
+    if (!scheduled_after) {
+      sched.Schedule(first_arrival, transmit);
     }
+    for (size_t i = 0; i < config.queue_limit; ++i) {
+      medium.InjectBackground(1000);
+    }
+    if (scheduled_after) {
+      sched.Schedule(first_arrival, transmit);
+    }
+    sched.Run();
+    ASSERT_TRUE(accepted.has_value());
+    EXPECT_EQ(*accepted, scheduled_after) << "scheduled_after=" << scheduled_after;
+    EXPECT_EQ(medium.stats().frames_dropped_queue, scheduled_after ? 0u : 1u);
+    EXPECT_EQ(delivered, scheduled_after ? 1 : 0);
+    EXPECT_EQ(medium.stats().background_frames, config.queue_limit);
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/scenario/runner.h"
-#include "src/sim/scheduler.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/trace.h"
 #include "src/util/config.h"
@@ -383,40 +382,171 @@ TEST(ScenarioRunnerTest, TamperedRecordReportsDivergence) {
   ASSERT_TRUE(op_replay.value().diverged());
 }
 
-// Restores the process default scheduler backend on scope exit.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SchedulerBackend backend) : old_(Scheduler::DefaultBackend()) {
-    Scheduler::SetDefaultBackend(backend);
-  }
-  ~ScopedBackend() { Scheduler::SetDefaultBackend(old_); }
-
- private:
-  SchedulerBackend old_;
+// TraceRecord::Serialize() output recorded on the std::priority_queue
+// scheduler the timing wheel replaced. The first is kSmallScenario. The
+// second is the same mix on three clients sharing files under leases, where
+// events from different hosts meet on one instant, so it also pins
+// same-instant firing order.
+constexpr const char* kHeapRecordedTraces[] = {
+    R"trace(trace_version = 1
+effective_seed = 7
+scenario = unit_small
+seed = 7
+workload = opmix
+ops = 20
+files = 4
+file_bytes = 4096
+skew = uniform
+zipf_s = 1.1000000000000001
+arrival = steady
+mean_gap = 10ms
+burst_len = 16
+burst_gap = 2s
+diurnal_period = 40s
+metadata_heavy = false
+shared_files = false
+iterations = 40
+mount = reno
+hard = true
+transport = udp
+topology = same_lan
+clients = 1
+gate_max_p99_us = 0
+gate_max_recovery_episodes = 0
+gate_allow_workload_errors = false
+op = opmix[c0] readdir . = ok
+op = opmix[c0] getattr mix_c0_1 = ok
+op = opmix[c0] read mix_c0_0 = ok
+op = opmix[c0] remove mix_c0_2 = ok
+op = opmix[c0] remove mix_c0_0 = ok
+op = opmix[c0] getattr mix_c0_2 = NOENT
+op = opmix[c0] read mix_c0_0 = NOENT
+op = opmix[c0] read mix_c0_0 = NOENT
+op = opmix[c0] create mix_c0_2 = ok
+op = opmix[c0] remove mix_c0_1 = ok
+op = opmix[c0] getattr mix_c0_3 = ok
+op = opmix[c0] write mix_c0_0 = NOENT
+op = opmix[c0] getattr mix_c0_0 = NOENT
+op = opmix[c0] lookup mix_c0_1 = NOENT
+op = opmix[c0] read mix_c0_3 = ok
+op = opmix[c0] read mix_c0_2 = ok
+op = opmix[c0] read mix_c0_1 = NOENT
+op = opmix[c0] readdir . = ok
+op = opmix[c0] read mix_c0_3 = ok
+op = opmix[c0] remove mix_c0_2 = ok
+workload_status = ok
+integrity_ok = true
+snapshot_hash = 0x842b461a1966884a
+summary = chaos: seed=7 status=ok integrity=ok files=1 crashes=0 trace=0 replays=0 absorbed=0 frames_corrupted=0 checksum_drops=0 garbage=0 corrupt_records=0 enospc=0 disk_errors=0 latched=0 slot_waits=0 lat_us[getattr]=10110/10110/10110 lat_us[lookup]=16115/16115/16115 lat_us[read]=73597/73597/73597 lat_us[write]=109756/109756/109756 lat_us[create]=101423/101423/101423 lat_us[remove]=80670/80670/80670 lat_us[readdir]=16383/55248/55248
+)trace",
+    R"trace(trace_version = 1
+effective_seed = 7
+scenario = unit_shared_leases
+seed = 7
+workload = opmix
+ops = 20
+files = 4
+file_bytes = 4096
+skew = uniform
+zipf_s = 1.1000000000000001
+arrival = steady
+mean_gap = 10ms
+burst_len = 16
+burst_gap = 2s
+diurnal_period = 40s
+metadata_heavy = false
+shared_files = true
+iterations = 40
+mount = leases
+hard = true
+transport = udp
+topology = same_lan
+clients = 3
+gate_max_p99_us = 0
+gate_max_recovery_episodes = 0
+gate_allow_workload_errors = false
+op = opmix[c0] readdir . = ok
+op = opmix[c0] getattr mix_1 = ok
+op = opmix[c0] read mix_0 = ok
+op = opmix[c0] remove mix_2 = ok
+op = opmix[c0] remove mix_0 = ok
+op = opmix[c0] getattr mix_2 = NOENT
+op = opmix[c0] read mix_0 = NOENT
+op = opmix[c0] read mix_0 = NOENT
+op = opmix[c0] create mix_2 = ok
+op = opmix[c0] remove mix_1 = ok
+op = opmix[c0] getattr mix_3 = ok
+op = opmix[c0] write mix_0 = NOENT
+op = opmix[c0] getattr mix_0 = NOENT
+op = opmix[c0] lookup mix_1 = NOENT
+op = opmix[c0] read mix_3 = ok
+op = opmix[c0] read mix_2 = ok
+op = opmix[c0] read mix_1 = NOENT
+op = opmix[c0] readdir . = ok
+op = opmix[c0] read mix_3 = ok
+op = opmix[c0] remove mix_2 = ok
+op = opmix[c1] read mix_1 = STALE
+op = opmix[c2] write mix_1@0 = STALE
+op = opmix[c1] write mix_2 = NOENT
+op = opmix[c2] getattr mix_3 = ok
+op = opmix[c1] read mix_1 = STALE
+op = opmix[c2] remove mix_2 = NOENT
+op = opmix[c2] write mix_2 = NOENT
+op = opmix[c1] getattr mix_0 = NOENT
+op = opmix[c1] write mix_0 = NOENT
+op = opmix[c1] getattr mix_2 = NOENT
+op = opmix[c1] read mix_0 = NOENT
+op = opmix[c1] readdir . = ok
+op = opmix[c1] getattr mix_3 = ok
+op = opmix[c1] write mix_2 = NOENT
+op = opmix[c1] read mix_1 = STALE
+op = opmix[c1] read mix_0 = NOENT
+op = opmix[c1] remove mix_2 = NOENT
+op = opmix[c1] read mix_1 = STALE
+op = opmix[c1] read mix_2 = NOENT
+op = opmix[c1] read mix_2 = NOENT
+op = opmix[c1] getattr mix_0 = NOENT
+op = opmix[c1] lookup mix_2 = NOENT
+op = opmix[c1] lookup mix_3 = ok
+op = opmix[c1] create mix_3 = EXIST
+op = opmix[c2] read mix_3 = ok
+op = opmix[c2] remove mix_0 = NOENT
+op = opmix[c2] read mix_2 = NOENT
+op = opmix[c2] write mix_0 = NOENT
+op = opmix[c2] write mix_3@0 = ok
+op = opmix[c2] lookup mix_3 = ok
+op = opmix[c2] write mix_2 = NOENT
+op = opmix[c2] read mix_2 = NOENT
+op = opmix[c2] getattr mix_2 = NOENT
+op = opmix[c2] lookup mix_3 = ok
+op = opmix[c2] getattr mix_3 = ok
+op = opmix[c2] getattr mix_1 = STALE
+op = opmix[c2] remove mix_3 = ok
+op = opmix[c2] getattr mix_2 = NOENT
+op = opmix[c2] write mix_3 = NOENT
+op = opmix[c2] readdir . = ok
+workload_status = ok
+integrity_ok = true
+snapshot_hash = 0x14672d22de7bee82
+summary = chaos: seed=7 status=ok integrity=ok files=0 crashes=0 trace=0 replays=0 absorbed=0 frames_corrupted=0 checksum_drops=0 garbage=0 corrupt_records=0 enospc=0 disk_errors=0 latched=0 slot_waits=0 leases=11 recalls=2 vacated=6 lease_evictions=0 stale_discards=0 stale_lease_writes=0 lat_us[lookup]=16383/16383/32767 lat_us[read]=68994/68994/68994 lat_us[write]=129411/129411/129411 lat_us[create]=131071/151587/151587 lat_us[remove]=76548/76548/76548 lat_us[readdir]=14281/14281/14281 lat_us[lease]=16383/3761639/3761639 lat_us[vacate]=10478/10478/10478
+)trace",
 };
 
 TEST(ScenarioRunnerTest, LegacyHeapTraceReplaysOnTimingWheel) {
-  // Cross-backend replay compatibility: a trace recorded before the
-  // timing-wheel overhaul (simulated here by recording on the legacy heap)
-  // must replay divergence-free on the wheel — same op log, same fault
-  // trace, same snapshot hash. This is the PR 7 trace-replay contract the
-  // scheduler rebuild was required to preserve.
+  // Replay compatibility across the scheduler rebuild: a trace recorded on
+  // the old heap must replay divergence-free on the wheel — same op log,
+  // same fault trace, same snapshot hash.
   ScopedSeedEnv clean(nullptr);
-  const Scenario scenario = Scenario::Parse(kSmallScenario).value();
-  TraceRecord record;
-  {
-    ScopedBackend legacy(SchedulerBackend::kLegacyHeap);
-    auto outcome_or = RunScenario(scenario, /*seed_from_env=*/false);
-    ASSERT_TRUE(outcome_or.ok()) << outcome_or.status();
-    ASSERT_TRUE(outcome_or.value().passed());
-    record = outcome_or.value().Trace();
+  for (const char* text : kHeapRecordedTraces) {
+    auto record_or = TraceRecord::Parse(text);
+    ASSERT_TRUE(record_or.ok()) << record_or.status();
+    auto replay_or = ReplayTrace(record_or.value());
+    ASSERT_TRUE(replay_or.ok()) << replay_or.status();
+    EXPECT_FALSE(replay_or.value().diverged())
+        << record_or.value().scenario.name << ": "
+        << (replay_or.value().divergences.empty() ? ""
+                                                  : replay_or.value().divergences.front());
   }
-  ScopedBackend wheel(SchedulerBackend::kTimingWheel);
-  auto replay_or = ReplayTrace(record);
-  ASSERT_TRUE(replay_or.ok()) << replay_or.status();
-  EXPECT_FALSE(replay_or.value().diverged())
-      << (replay_or.value().divergences.empty() ? ""
-                                                : replay_or.value().divergences.front());
 }
 
 }  // namespace

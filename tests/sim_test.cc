@@ -296,8 +296,10 @@ TEST(DiskTest, OpsQueue) {
 }
 
 // --- timing-wheel edge cases ------------------------------------------------
-// The wheel must reproduce the legacy heap's semantics exactly; these pin the
-// corners where a wheel implementation most easily drifts.
+// Events fire in strict (time, seq) order: earlier instants first, and
+// same-instant events in the order they were scheduled. These pin the
+// corners where a wheel implementation most easily drifts from that
+// contract.
 
 TEST(SchedulerWheelTest, CancelAtSameTickFromEarlierEvent) {
   Scheduler sched;
@@ -385,38 +387,59 @@ TEST(SchedulerWheelTest, CancelledTailThenRescheduleEarlier) {
   EXPECT_EQ(sched.now(), Milliseconds(1));
 }
 
-TEST(SchedulerWheelTest, MatchesLegacyHeapOnSeededRandomSchedule) {
-  // One seeded script of bursts, cancels, and bounded drains, run on both
-  // backends; the (id, fire-time) logs must be identical. This is the
-  // determinism contract the scenario replay subsystem leans on.
-  auto run_script = [](SchedulerBackend backend) {
-    Scheduler sched(backend);
-    Rng rng(42);
-    std::vector<std::pair<int, SimTime>> log;
-    std::vector<Scheduler::EventHandle> handles;
-    int next_id = 0;
-    for (int round = 0; round < 200; ++round) {
-      const uint64_t burst = 1 + rng.UniformUint64(8);
-      for (uint64_t i = 0; i < burst; ++i) {
-        const int id = next_id++;
-        const SimTime delay =
-            static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(2))));
-        handles.push_back(sched.Schedule(
-            delay, [&log, &sched, id]() { log.emplace_back(id, sched.now()); }));
-      }
-      if (rng.Bernoulli(0.3)) {
-        sched.Cancel(handles[rng.UniformUint64(handles.size())]);
-      }
-      sched.RunFor(
-          static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(1)))));
+// FNV-1a over each (id, fire-time) pair, both as little-endian 64-bit words.
+uint64_t FireLogDigest(const std::vector<std::pair<int, SimTime>>& log) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ull;
     }
-    sched.Run();
-    return log;
   };
-  const auto wheel_log = run_script(SchedulerBackend::kTimingWheel);
-  const auto legacy_log = run_script(SchedulerBackend::kLegacyHeap);
-  EXPECT_EQ(wheel_log, legacy_log);
-  EXPECT_FALSE(wheel_log.empty());
+  for (const auto& [id, at] : log) {
+    mix(static_cast<uint64_t>(id));
+    mix(static_cast<uint64_t>(at));
+  }
+  return hash;
+}
+
+TEST(SchedulerWheelTest, MatchesLegacyHeapOnSeededRandomSchedule) {
+  // One seeded script of bursts, cancels, and bounded drains. The golden
+  // length and digest of its (id, fire-time) log were recorded on a
+  // std::priority_queue scheduler ordered by (time, seq) — an independent
+  // reference for the determinism contract the scenario replay subsystem
+  // leans on. Half the events land on a shared grid of wheel-slot starts
+  // (2^17 ns), so events scheduled in different rounds meet on one instant
+  // and the log pins same-instant FIFO order too.
+  constexpr size_t kGoldenLength = 907;
+  constexpr uint64_t kGoldenDigest = 0xb20795cb610e04e6ull;
+  constexpr SimTime kGrid = SimTime{1} << 17;
+  Scheduler sched;
+  Rng rng(42);
+  std::vector<std::pair<int, SimTime>> log;
+  std::vector<Scheduler::EventHandle> handles;
+  int next_id = 0;
+  for (int round = 0; round < 200; ++round) {
+    const uint64_t burst = 1 + rng.UniformUint64(8);
+    for (uint64_t i = 0; i < burst; ++i) {
+      const int id = next_id++;
+      const SimTime now = sched.now();
+      const SimTime delay =
+          rng.Bernoulli(0.5)
+              ? static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(2))))
+              : (now / kGrid + 1 + static_cast<SimTime>(rng.UniformUint64(20))) * kGrid - now;
+      handles.push_back(sched.Schedule(
+          delay, [&log, &sched, id]() { log.emplace_back(id, sched.now()); }));
+    }
+    if (rng.Bernoulli(0.3)) {
+      sched.Cancel(handles[rng.UniformUint64(handles.size())]);
+    }
+    sched.RunFor(
+        static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(1)))));
+  }
+  sched.Run();
+  EXPECT_EQ(log.size(), kGoldenLength);
+  EXPECT_EQ(FireLogDigest(log), kGoldenDigest);
 }
 
 TEST(SchedulerWheelTest, EventPoolRecyclesNodes) {
@@ -453,73 +476,62 @@ TEST(SchedulerWheelTest, TimerRestartIsAllocationFree) {
 
 // --- virtual events: next_seq / HasFired ------------------------------------
 // A stamp (at, next_seq()) taken at some point must read as fired exactly
-// when a real event scheduled at that point would have fired, on both
-// backends. Medium's eventless queue entries rely on it.
-
-constexpr SchedulerBackend kBothBackends[] = {SchedulerBackend::kTimingWheel,
-                                               SchedulerBackend::kLegacyHeap};
+// when a real event scheduled at that point would have fired. Medium's
+// eventless queue entries rely on it.
 
 TEST(SchedulerStampTest, StampPeekedBeforeSameInstantEventCountsAsFired) {
-  for (const SchedulerBackend backend : kBothBackends) {
-    Scheduler sched(backend);
-    const uint64_t stamp = sched.next_seq();
-    EXPECT_EQ(sched.next_seq(), stamp);  // peeking consumes nothing
-    bool fired_inside = false;
-    sched.Schedule(Milliseconds(5), [&]() {
-      fired_inside = sched.HasFired(Milliseconds(5), stamp);
-    });
-    EXPECT_EQ(sched.next_seq(), stamp + 1);
-    sched.Run();
-    EXPECT_TRUE(fired_inside) << "backend " << static_cast<int>(backend);
-  }
+  Scheduler sched;
+  const uint64_t stamp = sched.next_seq();
+  EXPECT_EQ(sched.next_seq(), stamp);  // peeking consumes nothing
+  bool fired_inside = false;
+  sched.Schedule(Milliseconds(5), [&]() {
+    fired_inside = sched.HasFired(Milliseconds(5), stamp);
+  });
+  EXPECT_EQ(sched.next_seq(), stamp + 1);
+  sched.Run();
+  EXPECT_TRUE(fired_inside);
 }
 
 TEST(SchedulerStampTest, StampPeekedAfterSameInstantEventIsPending) {
-  for (const SchedulerBackend backend : kBothBackends) {
-    Scheduler sched(backend);
-    bool fired_in_first = true;
-    bool fired_in_second = false;
-    uint64_t stamp = 0;
-    sched.Schedule(Milliseconds(5), [&]() {
-      fired_in_first = sched.HasFired(Milliseconds(5), stamp);
-    });
-    stamp = sched.next_seq();
-    sched.Schedule(Milliseconds(5), [&]() {
-      fired_in_second = sched.HasFired(Milliseconds(5), stamp);
-    });
-    sched.Run();
-    EXPECT_FALSE(fired_in_first) << "backend " << static_cast<int>(backend);
-    EXPECT_TRUE(fired_in_second) << "backend " << static_cast<int>(backend);
-  }
+  Scheduler sched;
+  bool fired_in_first = true;
+  bool fired_in_second = false;
+  uint64_t stamp = 0;
+  sched.Schedule(Milliseconds(5), [&]() {
+    fired_in_first = sched.HasFired(Milliseconds(5), stamp);
+  });
+  stamp = sched.next_seq();
+  sched.Schedule(Milliseconds(5), [&]() {
+    fired_in_second = sched.HasFired(Milliseconds(5), stamp);
+  });
+  sched.Run();
+  EXPECT_FALSE(fired_in_first);
+  EXPECT_TRUE(fired_in_second);
 }
 
 TEST(SchedulerStampTest, EarlierInstantsAlwaysCountAsFired) {
-  for (const SchedulerBackend backend : kBothBackends) {
-    Scheduler sched(backend);
-    bool earlier = false;
-    bool later = true;
-    sched.Schedule(Milliseconds(5), [&]() {
-      earlier = sched.HasFired(Milliseconds(5) - 1, ~uint64_t{0});
-      later = sched.HasFired(Milliseconds(5) + 1, 0);
-    });
-    sched.Run();
-    EXPECT_TRUE(earlier) << "backend " << static_cast<int>(backend);
-    EXPECT_FALSE(later) << "backend " << static_cast<int>(backend);
-  }
+  Scheduler sched;
+  bool earlier = false;
+  bool later = true;
+  sched.Schedule(Milliseconds(5), [&]() {
+    earlier = sched.HasFired(Milliseconds(5) - 1, ~uint64_t{0});
+    later = sched.HasFired(Milliseconds(5) + 1, 0);
+  });
+  sched.Run();
+  EXPECT_TRUE(earlier);
+  EXPECT_FALSE(later);
 }
 
 TEST(SchedulerStampTest, DeadlineStampCountsAsFiredAfterRunUntil) {
-  for (const SchedulerBackend backend : kBothBackends) {
-    Scheduler sched(backend);
-    sched.Schedule(Milliseconds(10), []() {});
-    // Peeked after the deadline's own event: as a real event it would fire
-    // last at the deadline, and RunUntil fires everything at the deadline.
-    const uint64_t stamp = sched.next_seq();
-    EXPECT_FALSE(sched.HasFired(Milliseconds(10), stamp));
-    sched.RunUntil(Milliseconds(10));
-    EXPECT_TRUE(sched.HasFired(Milliseconds(10), stamp)) << "backend " << static_cast<int>(backend);
-    EXPECT_FALSE(sched.HasFired(Milliseconds(10) + 1, 0));
-  }
+  Scheduler sched;
+  sched.Schedule(Milliseconds(10), []() {});
+  // Peeked after the deadline's own event: as a real event it would fire
+  // last at the deadline, and RunUntil fires everything at the deadline.
+  const uint64_t stamp = sched.next_seq();
+  EXPECT_FALSE(sched.HasFired(Milliseconds(10), stamp));
+  sched.RunUntil(Milliseconds(10));
+  EXPECT_TRUE(sched.HasFired(Milliseconds(10), stamp));
+  EXPECT_FALSE(sched.HasFired(Milliseconds(10) + 1, 0));
 }
 
 TEST(FixedPoolTest, RecyclesBlocksAndTracksHighWater) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 
 namespace renonfs::analyze {
 namespace {
@@ -11,9 +12,11 @@ namespace {
 // without any co_await in sight. They are may-suspend roots by name — the
 // "helper that suspends internally" in its most deceptive form, because the
 // caller's body looks entirely synchronous.
+constexpr const char* kPumpPrimitives[] = {"RunUntil", "RunFor", "DrainAndAudit"};
+
 bool IsPumpPrimitive(const std::string& name) {
-  return name == "RunUntil" || name == "RunFor" || name == "RunUntilLegacy" ||
-         name == "DrainAndAudit";
+  return std::find(std::begin(kPumpPrimitives), std::end(kPumpPrimitives), name) !=
+         std::end(kPumpPrimitives);
 }
 
 bool ReturnsStatus(const FunctionSummary& fn) {
@@ -253,7 +256,7 @@ AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
       }
     }
   }
-  for (const char* p : {"RunUntil", "RunFor", "RunUntilLegacy", "DrainAndAudit"}) {
+  for (const char* p : kPumpPrimitives) {
     ctx.may_suspend.insert(p);
     ctx.unguarded_suspend.insert(p);
   }

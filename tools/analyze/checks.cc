@@ -679,8 +679,8 @@ void CheckSpanBalance(const LexedFile& file, const Body& body,
 // disk) costs one heap allocation per scheduled event — the profile the
 // timing-wheel overhaul removed. Scans the whole token stream (member
 // declarations matter as much as locals) and reports a note per line; the
-// deliberate survivors (Timer's stored callable, the legacy-heap baseline)
-// carry analyze:allow annotations.
+// deliberate survivor (Timer's stored callable, built once per Timer)
+// carries analyze:allow annotations.
 void CheckEventAlloc(const LexedFile& file, std::vector<Finding>* out) {
   const bool scoped = file.path.find("src/sim/scheduler") != std::string::npos ||
                       file.path.find("src/sim/cpu") != std::string::npos ||
