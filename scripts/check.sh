@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: plain build + full test suite, then the fault, chaos
-# and fuzz suites again under ASan+UBSan. This is the exact command sequence
+# Tier-1 verification: plain build + full test suite, then the fault, chaos,
+# fuzz, retry-rule and scheduler suites again under ASan+UBSan. This is the exact command sequence
 # ROADMAP.md declares as "Tier-1 verify" — keep the two in sync.
 #
 # Every sub-step either runs or fails the script: the tools the steps depend
@@ -146,7 +146,8 @@ rm -f "${TRACE_TMP}" "${TIMELINE_TMP}"
 
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"
-ctest --preset asan -j "${JOBS}" -R 'FaultTest|ChaosTest|FuzzTest'
+ctest --preset asan -j "${JOBS}" \
+  -R 'FaultTest|ChaosTest|FuzzTest|RetryRuleTest|SchedulerWheelTest|SchedulerStampTest'
 
 # Scenario-matrix smoke (ASan build): the 3-cell quick subset of the
 # workload × transport × topology × fault matrix, every cell gated and its

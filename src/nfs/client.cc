@@ -247,54 +247,42 @@ CoTask<StatusOr<MbufChain>> NfsClient::CallRpc(uint32_t proc, MbufChain args,
   co_return result;
 }
 
-Status NfsClient::CheckNfsStat(XdrDecoder& dec, std::string_view context) {
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    return stat_or.status();
+// Reno's absorption of retried non-idempotent procedures: the error a
+// re-execution echoes (RetryEchoError), seen on a retransmitted call, means an
+// earlier transmission did the work and only its reply was lost — the
+// server's duplicate cache forgot it across a reboot or evicted it. The work
+// being done is what the caller asked for, so the error is counted and
+// reported absorbed; any other status stays the caller's to return.
+bool NfsClient::AbsorbRetryError(uint32_t proc, const Status& status, const RpcCallInfo& info) {
+  if (status.ok() || status.code() != RetryEchoError(proc) || info.transmissions <= 1) {
+    return false;
   }
-  return StatusFromNfsStat(stat_or.value(), context);
+  ++stats_.retry_errors_absorbed;
+  return true;
 }
 
 CoTask<StatusOr<FileAttr>> NfsClient::RpcGetattr(NfsFh file) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, file);
-  auto body_or = co_await CallRpc(kNfsGetattr, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto attr_or =
+      DecodeNfsReply<FileAttr>(kNfsGetattr, co_await CallRpc(kNfsGetattr, std::move(args)));
+  if (attr_or.ok()) {
+    NoteAttrs(file, attr_or.value());
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "getattr");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  if (!attr_or.ok()) {
-    co_return attr_or.status();
-  }
-  NoteAttrs(file, attr_or.value());
-  co_return attr_or.value();
+  co_return attr_or;
 }
 
 CoTask<StatusOr<DirOpReply>> NfsClient::RpcLookup(NfsFh dir, const std::string& name) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
-  auto body_or = co_await CallRpc(kNfsLookup, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply_or =
+      DecodeNfsReply<DirOpReply>(kNfsLookup, co_await CallRpc(kNfsLookup, std::move(args)));
+  if (reply_or.ok()) {
+    NoteAttrs(reply_or->file, reply_or->attr);
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "lookup");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeDirOpReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  NoteAttrs(reply_or->file, reply_or->attr);
-  co_return reply_or.value();
+  co_return reply_or;
 }
 
 CoTask<StatusOr<ReadReply>> NfsClient::RpcRead(NfsFh file, uint32_t offset, uint32_t count) {
@@ -305,21 +293,11 @@ CoTask<StatusOr<ReadReply>> NfsClient::RpcRead(NfsFh file, uint32_t offset, uint
   read_args.offset = offset;
   read_args.count = count;
   EncodeReadArgs(enc, read_args);
-  auto body_or = co_await CallRpc(kNfsRead, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply_or = DecodeNfsReply<ReadReply>(kNfsRead, co_await CallRpc(kNfsRead, std::move(args)));
+  if (reply_or.ok()) {
+    NoteAttrs(file, reply_or->attr);
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "read");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeReadReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  NoteAttrs(file, reply_or->attr);
-  co_return std::move(reply_or).value();
+  co_return reply_or;
 }
 
 CoTask<StatusOr<FileAttr>> NfsClient::RpcWrite(NfsFh file, uint32_t offset, MbufChain data) {
@@ -330,21 +308,11 @@ CoTask<StatusOr<FileAttr>> NfsClient::RpcWrite(NfsFh file, uint32_t offset, Mbuf
   write_args.offset = offset;
   write_args.data = std::move(data);
   EncodeWriteArgs(enc, std::move(write_args));
-  auto body_or = co_await CallRpc(kNfsWrite, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto attr_or = DecodeNfsReply<FileAttr>(kNfsWrite, co_await CallRpc(kNfsWrite, std::move(args)));
+  if (attr_or.ok()) {
+    NoteAttrs(file, attr_or.value());
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "write");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  if (!attr_or.ok()) {
-    co_return attr_or.status();
-  }
-  NoteAttrs(file, attr_or.value());
-  co_return attr_or.value();
+  co_return attr_or;
 }
 
 // --- lease plumbing ----------------------------------------------------------
@@ -467,22 +435,13 @@ CoTask<StatusOr<LeaseReply>> NfsClient::RpcLease(NfsFh file, uint32_t kind, bool
   // Snapshot before the call: the expiry must be pessimistic by the full
   // round trip (see NoteLeaseReply).
   const SimTime sent_at = node_->scheduler().now();
-  auto body_or = co_await CallRpc(kNfsLease, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply_or =
+      DecodeNfsReply<LeaseReply>(kNfsLease, co_await CallRpc(kNfsLease, std::move(args)));
+  if (reply_or.ok()) {
+    NoteLeaseReply(file.Key(), reply_or.value(), sent_at);
+    NoteAttrs(file, reply_or->attr);
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "lease");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeLeaseReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  NoteLeaseReply(file.Key(), reply_or.value(), sent_at);
-  NoteAttrs(file, reply_or->attr);
-  co_return reply_or.value();
+  co_return reply_or;
 }
 
 CoTask<void> NfsClient::MaybeAcquireLease(NfsFh file, uint32_t kind) {
@@ -673,6 +632,13 @@ void NfsClient::NoteAttrs(NfsFh file, const FileAttr& attr) {
   attr_cache_.Put(file.Key(), attr, node_->scheduler().now());
 }
 
+void NfsClient::InvalidateDirCaches(NfsFh dir) {
+  const uint64_t key = dir.Key();
+  name_cache_epoch_.erase(key);
+  dir_listings_.erase(key);
+  attr_cache_.Invalidate(key);
+}
+
 void NfsClient::DiscardFile(NfsFh file) {
   const uint64_t key = file.Key();
   cache_.InvalidateFile(key);  // dirty blocks of a removed file are dropped
@@ -790,32 +756,26 @@ CoTask<Status> NfsClient::Setattr(NfsFh file, SetAttrRequest request) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeSetattrArgs(enc, SetattrArgs{file, request});
-  auto body_or = co_await CallRpc(kNfsSetattr, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto attr_or =
+      DecodeNfsReply<FileAttr>(kNfsSetattr, co_await CallRpc(kNfsSetattr, std::move(args)));
+  if (!attr_or.ok()) {
+    co_return attr_or.status();
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "setattr");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  if (attr_or.ok()) {
-    NoteAttrs(file, attr_or.value());
-    if (request.size.has_value()) {
-      // Truncation changes the data; drop cached blocks (dirty data below
-      // the cut was already pushed by the caller or is being discarded with
-      // the truncation, matching local-file semantics).
-      cache_.InvalidateFile(file.Key());
-      FileState& state = StateFor(file);
-      state.data_mtime = std::max(state.data_mtime, attr_or->mtime);
-      state.local_size = *request.size;
-    }
+  NoteAttrs(file, attr_or.value());
+  if (request.size.has_value()) {
+    // Truncation changes the data; drop cached blocks (dirty data below
+    // the cut was already pushed by the caller or is being discarded with
+    // the truncation, matching local-file semantics).
+    cache_.InvalidateFile(file.Key());
+    FileState& state = StateFor(file);
+    state.data_mtime = std::max(state.data_mtime, attr_or->mtime);
+    state.local_size = *request.size;
   }
   co_return Status::Ok();
 }
 
-CoTask<StatusOr<NfsFh>> NfsClient::Create(NfsFh dir, std::string name, uint32_t mode) {
+CoTask<StatusOr<NfsFh>> NfsClient::CreateEntry(uint32_t proc, NfsFh dir, std::string name,
+                                               uint32_t mode) {
   node_->cpu().ChargeBackground(node_->profile().syscall_overhead, CostCategory::kNfsProc);
   MbufChain args;
   XdrEncoder enc(&args);
@@ -825,85 +785,28 @@ CoTask<StatusOr<NfsFh>> NfsClient::Create(NfsFh dir, std::string name, uint32_t 
   create_args.attrs.mode = mode;
   EncodeCreateArgs(enc, create_args);
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsCreate, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "create");
-  DirOpReply reply;
-  if (status.ok()) {
-    auto reply_or = DecodeDirOpReply(dec);
-    if (!reply_or.ok()) {
+  auto reply_or = DecodeNfsReply<DirOpReply>(proc, co_await CallRpc(proc, std::move(args), &info));
+  if (!reply_or.ok()) {
+    if (!AbsorbRetryError(proc, reply_or.status(), info)) {
       co_return reply_or.status();
     }
-    reply = reply_or.value();
-  } else if (status.code() == ErrorCode::kExist && info.transmissions > 1) {
-    // EEXIST on a retransmitted CREATE: an earlier transmission did the work
-    // and the server forgot (dup cache lost across a reboot, or an evicted
-    // entry). The file existing is what we asked for — look it up and
-    // proceed, the 4.3BSD client's absorption of retried non-idempotent
-    // procedures.
-    ++stats_.retry_errors_absorbed;
+    // The entry exists because an earlier transmission made it: recover its
+    // handle with a LOOKUP and proceed.
     auto lookup_or = co_await RpcLookup(dir, name);
     if (!lookup_or.ok()) {
-      co_return status;  // the original EEXIST stands
+      co_return reply_or.status();  // the original EEXIST stands
     }
-    reply = lookup_or.value();
-  } else {
-    co_return status;
+    reply_or = std::move(lookup_or);
   }
+  const DirOpReply& reply = reply_or.value();
   NoteAttrs(reply.file, reply.attr);
-  StateFor(reply.file).data_mtime = reply.attr.mtime;
+  if (proc == kNfsCreate) {
+    StateFor(reply.file).data_mtime = reply.attr.mtime;
+  }
   // The directory changed: purge its cached names (the BSD cache_purge on a
   // modified directory), then enter the newly created entry.
   name_cache_.InvalidateDir(dir.Key());
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
-  name_cache_.Enter(dir.Key(), name, reply.file.Key());
-  co_return reply.file;
-}
-
-CoTask<StatusOr<NfsFh>> NfsClient::Mkdir(NfsFh dir, std::string name, uint32_t mode) {
-  node_->cpu().ChargeBackground(node_->profile().syscall_overhead, CostCategory::kNfsProc);
-  MbufChain args;
-  XdrEncoder enc(&args);
-  CreateArgs create_args;
-  create_args.dir = dir;
-  create_args.name = name;
-  create_args.attrs.mode = mode;
-  EncodeCreateArgs(enc, create_args);
-  RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsMkdir, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "mkdir");
-  DirOpReply reply;
-  if (status.ok()) {
-    auto reply_or = DecodeDirOpReply(dec);
-    if (!reply_or.ok()) {
-      co_return reply_or.status();
-    }
-    reply = reply_or.value();
-  } else if (status.code() == ErrorCode::kExist && info.transmissions > 1) {
-    // See Create: EEXIST echoing our own retransmitted MKDIR is absorbed.
-    ++stats_.retry_errors_absorbed;
-    auto lookup_or = co_await RpcLookup(dir, name);
-    if (!lookup_or.ok()) {
-      co_return status;
-    }
-    reply = lookup_or.value();
-  } else {
-    co_return status;
-  }
-  NoteAttrs(reply.file, reply.attr);
-  name_cache_.InvalidateDir(dir.Key());
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  InvalidateDirCaches(dir);
   name_cache_.Enter(dir.Key(), name, reply.file.Key());
   co_return reply.file;
 }
@@ -929,24 +832,14 @@ CoTask<Status> NfsClient::Remove(NfsFh dir, std::string name) {
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsRemove, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "remove");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kNoEnt && info.transmissions > 1)) {
-      co_return status;
-    }
-    // ENOENT on a retransmitted REMOVE: an earlier transmission unlinked the
-    // file and the reply was lost. The name being gone is success.
-    ++stats_.retry_errors_absorbed;
+  const Status status =
+      DecodeNfsReply<NfsStatOnly>(kNfsRemove, co_await CallRpc(kNfsRemove, std::move(args), &info))
+          .status();
+  if (!status.ok() && !AbsorbRetryError(kNfsRemove, status, info)) {
+    co_return status;
   }
   name_cache_.InvalidateDir(dir.Key());
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  InvalidateDirCaches(dir);
   if (victim.has_value()) {
     if (options_.leases) {
       // Hand the lease back before forgetting the file so the server does
@@ -968,22 +861,14 @@ CoTask<Status> NfsClient::Rmdir(NfsFh dir, std::string name) {
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsRmdir, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "rmdir");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kNoEnt && info.transmissions > 1)) {
-      co_return status;
-    }
-    ++stats_.retry_errors_absorbed;  // earlier transmission removed it
+  const Status status =
+      DecodeNfsReply<NfsStatOnly>(kNfsRmdir, co_await CallRpc(kNfsRmdir, std::move(args), &info))
+          .status();
+  if (!status.ok() && !AbsorbRetryError(kNfsRmdir, status, info)) {
+    co_return status;
   }
   name_cache_.Invalidate(dir.Key(), name);
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  InvalidateDirCaches(dir);
   co_return Status::Ok();
 }
 
@@ -994,26 +879,14 @@ CoTask<Status> NfsClient::Rename(NfsFh from_dir, std::string from_name, NfsFh to
   XdrEncoder enc(&args);
   EncodeRenameArgs(enc, RenameArgs{from_dir, from_name, to_dir, to_name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsRename, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  const Status status =
+      DecodeNfsReply<NfsStatOnly>(kNfsRename, co_await CallRpc(kNfsRename, std::move(args), &info))
+          .status();
+  if (!status.ok() && !AbsorbRetryError(kNfsRename, status, info)) {
+    co_return status;
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "rename");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kNoEnt && info.transmissions > 1)) {
-      co_return status;
-    }
-    // ENOENT on a retransmitted RENAME: the earlier transmission moved the
-    // source, so the retry found it gone. The historical BSD client treats
-    // this as success — the rename happened.
-    ++stats_.retry_errors_absorbed;
-  }
-  for (NfsFh dir : {from_dir, to_dir}) {
-    name_cache_epoch_.erase(dir.Key());
-    dir_listings_.erase(dir.Key());
-    attr_cache_.Invalidate(dir.Key());
-  }
+  InvalidateDirCaches(from_dir);
+  InvalidateDirCaches(to_dir);
   name_cache_.Invalidate(from_dir.Key(), from_name);
   name_cache_.Invalidate(to_dir.Key(), to_name);
   co_return Status::Ok();
@@ -1025,21 +898,13 @@ CoTask<Status> NfsClient::Link(NfsFh file, NfsFh dir, std::string name) {
   XdrEncoder enc(&args);
   EncodeLinkArgs(enc, LinkArgs{file, dir, name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsLink, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  const Status status =
+      DecodeNfsReply<NfsStatOnly>(kNfsLink, co_await CallRpc(kNfsLink, std::move(args), &info))
+          .status();
+  if (!status.ok() && !AbsorbRetryError(kNfsLink, status, info)) {
+    co_return status;
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "link");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kExist && info.transmissions > 1)) {
-      co_return status;
-    }
-    ++stats_.retry_errors_absorbed;  // earlier transmission made the link
-  }
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  InvalidateDirCaches(dir);
   attr_cache_.Invalidate(file.Key());  // nlink changed
   co_return Status::Ok();
 }
@@ -1054,21 +919,13 @@ CoTask<Status> NfsClient::Symlink(NfsFh dir, std::string name, std::string targe
   symlink_args.target = target;
   EncodeSymlinkArgs(enc, symlink_args);
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsSymlink, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  const Status status = DecodeNfsReply<NfsStatOnly>(
+                            kNfsSymlink, co_await CallRpc(kNfsSymlink, std::move(args), &info))
+                            .status();
+  if (!status.ok() && !AbsorbRetryError(kNfsSymlink, status, info)) {
+    co_return status;
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "symlink");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kExist && info.transmissions > 1)) {
-      co_return status;
-    }
-    ++stats_.retry_errors_absorbed;  // earlier transmission made the symlink
-  }
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  InvalidateDirCaches(dir);
   co_return Status::Ok();
 }
 
@@ -1077,17 +934,8 @@ CoTask<StatusOr<std::string>> NfsClient::Readlink(NfsFh file) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, file);
-  auto body_or = co_await CallRpc(kNfsReadlink, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "readlink");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto target_or = dec.GetString(kMaxPathLen);
-  co_return target_or;
+  co_return DecodeNfsReply<std::string>(kNfsReadlink,
+                                        co_await CallRpc(kNfsReadlink, std::move(args)));
 }
 
 CoTask<StatusOr<std::vector<ReaddirEntry>>> NfsClient::Readdir(NfsFh dir) {
@@ -1113,16 +961,8 @@ CoTask<StatusOr<std::vector<ReaddirEntry>>> NfsClient::Readdir(NfsFh dir) {
     readdir_args.cookie = cookie;
     readdir_args.count = static_cast<uint32_t>(options_.rsize);
     EncodeReaddirArgs(enc, readdir_args);
-    auto body_or = co_await CallRpc(kNfsReaddir, std::move(args));
-    if (!body_or.ok()) {
-      co_return body_or.status();
-    }
-    XdrDecoder dec(&body_or.value());
-    Status status = CheckNfsStat(dec, "readdir");
-    if (!status.ok()) {
-      co_return status;
-    }
-    auto reply_or = DecodeReaddirReply(dec);
+    auto reply_or =
+        DecodeNfsReply<ReaddirReply>(kNfsReaddir, co_await CallRpc(kNfsReaddir, std::move(args)));
     if (!reply_or.ok()) {
       co_return reply_or.status();
     }
@@ -1143,16 +983,8 @@ CoTask<StatusOr<FsStat>> NfsClient::Statfs() {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, root_);
-  auto body_or = co_await CallRpc(kNfsStatfs, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "statfs");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeStatfsReply(dec);
+  auto reply_or =
+      DecodeNfsReply<StatfsReply>(kNfsStatfs, co_await CallRpc(kNfsStatfs, std::move(args)));
   if (!reply_or.ok()) {
     co_return reply_or.status();
   }

@@ -196,8 +196,12 @@ class NfsClient {
   CoTask<StatusOr<NfsFh>> LookupPath(std::string path);  // '/'-separated, from root
   CoTask<StatusOr<FileAttr>> Getattr(NfsFh file);
   CoTask<Status> Setattr(NfsFh file, SetAttrRequest request);
-  CoTask<StatusOr<NfsFh>> Create(NfsFh dir, std::string name, uint32_t mode = 0644);
-  CoTask<StatusOr<NfsFh>> Mkdir(NfsFh dir, std::string name, uint32_t mode = 0755);
+  CoTask<StatusOr<NfsFh>> Create(NfsFh dir, std::string name, uint32_t mode = 0644) {
+    return CreateEntry(kNfsCreate, dir, std::move(name), mode);
+  }
+  CoTask<StatusOr<NfsFh>> Mkdir(NfsFh dir, std::string name, uint32_t mode = 0755) {
+    return CreateEntry(kNfsMkdir, dir, std::move(name), mode);
+  }
   CoTask<Status> Remove(NfsFh dir, std::string name);
   CoTask<Status> Rmdir(NfsFh dir, std::string name);
   CoTask<Status> Rename(NfsFh from_dir, std::string from_name, NfsFh to_dir,
@@ -259,19 +263,28 @@ class NfsClient {
   // --- RPC plumbing -------------------------------------------------------
   CoTask<StatusOr<MbufChain>> CallRpc(uint32_t proc, MbufChain args,
                                       RpcCallInfo* info = nullptr);
-  // Decodes the nfsstat discriminator and maps errors to Status.
-  static Status CheckNfsStat(XdrDecoder& dec, std::string_view context);
+  // True (and counted) when `status`, the failed reply of non-idempotent
+  // `proc`, is the error a re-execution echoes on a retransmitted call.
+  bool AbsorbRetryError(uint32_t proc, const Status& status, const RpcCallInfo& info);
 
   CoTask<StatusOr<FileAttr>> RpcGetattr(NfsFh file);
   CoTask<StatusOr<DirOpReply>> RpcLookup(NfsFh dir, const std::string& name);
   CoTask<StatusOr<ReadReply>> RpcRead(NfsFh file, uint32_t offset, uint32_t count);
   CoTask<StatusOr<FileAttr>> RpcWrite(NfsFh file, uint32_t offset, MbufChain data);
+  // CREATE or MKDIR: makes the entry, absorbing an echoed EEXIST by
+  // recovering the handle with a LOOKUP, and enters it in the name cache.
+  CoTask<StatusOr<NfsFh>> CreateEntry(uint32_t proc, NfsFh dir, std::string name,
+                                      uint32_t mode);
 
   // --- cache plumbing ------------------------------------------------------
   FileState& StateFor(NfsFh fh);
   // Fresh-enough attributes: attr cache else GETATTR RPC.
   CoTask<StatusOr<FileAttr>> GetattrCached(NfsFh file);
   void NoteAttrs(NfsFh file, const FileAttr& attr);
+  // A namespace op changed `dir`: its attributes, cached listing and the
+  // mtime its cached names were entered under are stale. The name cache
+  // itself is each op's own business (purge, one name, or untouched).
+  void InvalidateDirCaches(NfsFh dir);
   void DiscardFile(NfsFh file);  // drop data + attrs (file removed/stale)
 
   // Reads `block` into the cache (read RPC of up to rsize), with read-ahead.

@@ -1,6 +1,7 @@
 #include "src/nfs/wire.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "src/util/logging.h"
 
@@ -137,6 +138,22 @@ bool IsNonIdempotent(uint32_t proc) {
       return true;
     default:
       return false;
+  }
+}
+
+ErrorCode RetryEchoError(uint32_t proc) {
+  switch (proc) {
+    case kNfsCreate:
+    case kNfsMkdir:
+    case kNfsLink:
+    case kNfsSymlink:
+      return ErrorCode::kExist;
+    case kNfsRemove:
+    case kNfsRmdir:
+    case kNfsRename:
+      return ErrorCode::kNoEnt;
+    default:
+      return ErrorCode::kOk;
   }
 }
 
@@ -635,5 +652,44 @@ StatusOr<VacateArgs> DecodeVacateArgs(XdrDecoder& dec) {
   ASSIGN_OR_RETURN(args.callback_port, dec.GetUint32());
   return args;
 }
+
+// --- reply check-and-decode ----------------------------------------------------
+
+template <typename Reply>
+StatusOr<Reply> DecodeNfsReply(uint32_t proc, StatusOr<MbufChain> body) {
+  if (!body.ok()) {
+    return body.status();
+  }
+  XdrDecoder dec(&body.value());
+  ASSIGN_OR_RETURN(const NfsStat stat, DecodeNfsStat(dec));
+  RETURN_IF_ERROR(StatusFromNfsStat(stat, NfsProcName(proc)));
+  if constexpr (std::is_same_v<Reply, FileAttr>) {
+    return DecodeFattr(dec);
+  } else if constexpr (std::is_same_v<Reply, DirOpReply>) {
+    return DecodeDirOpReply(dec);
+  } else if constexpr (std::is_same_v<Reply, ReadReply>) {
+    return DecodeReadReply(dec);
+  } else if constexpr (std::is_same_v<Reply, ReaddirReply>) {
+    return DecodeReaddirReply(dec);
+  } else if constexpr (std::is_same_v<Reply, StatfsReply>) {
+    return DecodeStatfsReply(dec);
+  } else if constexpr (std::is_same_v<Reply, LeaseReply>) {
+    return DecodeLeaseReply(dec);
+  } else if constexpr (std::is_same_v<Reply, std::string>) {
+    return dec.GetString(kMaxPathLen);  // the READLINK target
+  } else {
+    static_assert(std::is_same_v<Reply, NfsStatOnly>);
+    return NfsStatOnly{};
+  }
+}
+
+template StatusOr<FileAttr> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<DirOpReply> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<ReadReply> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<ReaddirReply> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<StatfsReply> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<LeaseReply> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<std::string> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
+template StatusOr<NfsStatOnly> DecodeNfsReply(uint32_t, StatusOr<MbufChain>);
 
 }  // namespace renonfs

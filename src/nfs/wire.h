@@ -67,6 +67,13 @@ RpcTimerClass TimerClassForProc(uint32_t proc);
 // request cache replays their replies instead of redoing them [Juszczak89].
 bool IsNonIdempotent(uint32_t proc);
 
+// The 4.3BSD client's rule for retried non-idempotent procedures: the error
+// a re-execution echoes when an earlier transmission already did the work
+// and only its reply was lost (the server's duplicate cache forgot it).
+// kExist for CREATE, MKDIR, LINK and SYMLINK; kNoEnt for REMOVE, RMDIR and
+// RENAME; kOk — nothing to absorb — for SETATTR and every idempotent proc.
+ErrorCode RetryEchoError(uint32_t proc);
+
 enum class NfsStat : uint32_t {
   kOk = 0,
   kPerm = 1,
@@ -302,6 +309,21 @@ struct VacateArgs {
 };
 void EncodeVacateArgs(XdrEncoder& enc, const VacateArgs& args);
 StatusOr<VacateArgs> DecodeVacateArgs(XdrDecoder& dec);
+
+// --- reply check-and-decode ----------------------------------------------------
+
+// The success body of REMOVE, RMDIR, RENAME, LINK, SYMLINK and VACATE: the
+// bare nfsstat, nothing after it.
+struct NfsStatOnly {};
+
+// Checks and decodes one NFS reply, exactly as every caller needs it: the
+// transport's error if the call failed, else the nfsstat word as a Status
+// whose context is NfsProcName(proc), else the success body decoded as
+// `Reply` — FileAttr, DirOpReply, ReadReply, ReaddirReply, StatfsReply,
+// LeaseReply, std::string (the READLINK target) or NfsStatOnly. Synchronous;
+// a READ's data clusters are shared into the result, not copied.
+template <typename Reply>
+StatusOr<Reply> DecodeNfsReply(uint32_t proc, StatusOr<MbufChain> body);
 
 }  // namespace renonfs
 

@@ -183,6 +183,13 @@ size_t Scheduler::FireCurrentTick() {
   while (slot.head != nullptr) {
     fire_buf_.clear();
     for (EventNode* node = slot.head; node != nullptr; node = node->next) {
+      // Every slot list is already in seq order, so the batch fires in
+      // strict (time, seq) order as drained: inserts and Reschedule append
+      // fresh, ever-larger seqs, and a cascade re-deals a slot in list order
+      // into lower levels that are empty at that moment (anything there
+      // would be due before the slot's start and would have fired first).
+      CHECK(fire_buf_.empty() || fire_buf_.back()->seq < node->seq)
+          << "timing wheel: slot out of seq order";
       // Out of the slot list: a Cancel from a callback in this batch falls
       // back to the `cancelled` flag instead of unlinking.
       node->wheel_level = -1;
@@ -191,12 +198,6 @@ size_t Scheduler::FireCurrentTick() {
     slot.head = nullptr;
     slot.tail = nullptr;
     occupied_[0] &= ~(uint64_t{1} << index);
-    // Direct inserts arrive in seq order, but a cascade can append an
-    // earlier-scheduled node behind a later one; the sort restores strict
-    // (time, seq) firing order. Same-tick batches are small, so
-    // this stays off the critical path.
-    std::sort(fire_buf_.begin(), fire_buf_.end(),
-              [](const EventNode* a, const EventNode* b) { return a->seq < b->seq; });
     for (EventNode* node : fire_buf_) {
       if (node->cancelled) {
         RecycleNode(node);

@@ -433,7 +433,6 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
 
   report.fault_trace = injector.trace();
   report.recovery = world.client().recovery_stats();
-  report.retry_errors_absorbed = world.client().stats().retry_errors_absorbed;
   report.dup_cache_replays = world.server().rpc_stats().duplicate_cache_replays;
   report.crash_count = world.server().crash_count();
 
@@ -441,25 +440,28 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
     report.frames_corrupted += medium->stats().FramesCorrupted();
   }
   report.checksum_drops = world.server_udp()->stats().checksum_failures +
-                          world.client_udp(0)->stats().checksum_failures +
-                          world.server_tcp()->stack_stats().checksum_drops +
-                          world.client_tcp(0)->stack_stats().checksum_drops;
+                          world.server_tcp()->stack_stats().checksum_drops;
   report.nfsd_slot_waits = world.server().rpc_stats().nfsd_slot_waits;
   report.garbage_requests = world.server().rpc_stats().garbage_requests;
-  report.corrupted_records = world.server().rpc_stats().corrupted_records +
-                             world.client().transport_stats().corrupted_records;
+  report.corrupted_records = world.server().rpc_stats().corrupted_records;
   report.fs_enospc = world.fs().fault_stats().enospc_errors;
   report.fs_injected_errors = world.fs().fault_stats().injected_errors;
-  report.write_errors_latched = world.client().stats().write_errors_latched;
 
   const LeaseStats& lease = world.server().lease_stats();
   report.leases_granted = lease.granted + lease.reclaimed;
   report.lease_recalls_sent = lease.recalls_sent;
   report.leases_vacated = lease.vacated;
   report.lease_evictions = lease.evictions;
+  // Every client's share of the client-side counters, like the lease ones.
   for (size_t i = 0; i < world.client_count(); ++i) {
-    report.lease_stale_discards += world.client(i).stats().lease_stale_discards;
-    report.stale_lease_writes += world.client(i).stats().stale_lease_writes;
+    const NfsClientStats& stats = world.client(i).stats();
+    report.checksum_drops += world.client_udp(i)->stats().checksum_failures +
+                             world.client_tcp(i)->stack_stats().checksum_drops;
+    report.corrupted_records += world.client(i).transport_stats().corrupted_records;
+    report.write_errors_latched += stats.write_errors_latched;
+    report.retry_errors_absorbed += stats.retry_errors_absorbed;
+    report.lease_stale_discards += stats.lease_stale_discards;
+    report.stale_lease_writes += stats.stale_lease_writes;
   }
 
   for (uint32_t proc = 0; proc < kNfsProcCount; ++proc) {

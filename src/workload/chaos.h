@@ -136,8 +136,8 @@ struct ChaosReport {
   uint64_t snapshot_hash = 0;
 
   // Recovery telemetry.
-  RpcRecoveryStats recovery;            // not-responding/ok episodes, reconnects
-  uint64_t retry_errors_absorbed = 0;   // client-side EEXIST/ENOENT absorption
+  RpcRecoveryStats recovery;            // client 0: not-responding/ok episodes, reconnects
+  uint64_t retry_errors_absorbed = 0;   // EEXIST/ENOENT absorption, all clients
   uint64_t dup_cache_replays = 0;       // server-side duplicate suppression
   uint64_t crash_count = 0;
 
@@ -146,12 +146,12 @@ struct ChaosReport {
   // injected but never counted anywhere is damage that reached the
   // application silently.
   uint64_t frames_corrupted = 0;      // medium-level damage events, whole path
-  uint64_t checksum_drops = 0;        // UDP + TCP checksum failures, both ends
+  uint64_t checksum_drops = 0;        // UDP + TCP checksum failures, server + all clients
   uint64_t garbage_requests = 0;      // server replied GARBAGE_ARGS
-  uint64_t corrupted_records = 0;     // TCP record-mark failures, both ends
+  uint64_t corrupted_records = 0;     // TCP record-mark failures, server + all clients
   uint64_t fs_enospc = 0;             // writes refused by the free-block budget
   uint64_t fs_injected_errors = 0;    // DiskErrorBurst failures
-  uint64_t write_errors_latched = 0;  // async write errors held for close()
+  uint64_t write_errors_latched = 0;  // async write errors held for close(), all clients
 
   // Saturation telemetry: requests that found every nfsd busy and queued.
   // The slow-disk soak asserts this spikes with write gathering off and

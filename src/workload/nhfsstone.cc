@@ -8,51 +8,22 @@ namespace renonfs {
 
 // --- RawNfsCaller -------------------------------------------------------------
 
-CoTask<StatusOr<MbufChain>> RawNfsCaller::Call(uint32_t proc, MbufChain args) {
-  auto result = co_await transport_->Call(proc, TimerClassForProc(proc), std::move(args));
-  co_return result;
-}
-
 CoTask<StatusOr<FileAttr>> RawNfsCaller::Getattr(NfsFh file) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, file);
-  auto body_or = co_await Call(kNfsGetattr, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "getattr");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  co_return attr_or;
+  co_return DecodeNfsReply<FileAttr>(
+      kNfsGetattr,
+      co_await transport_->Call(kNfsGetattr, TimerClassForProc(kNfsGetattr), std::move(args)));
 }
 
 CoTask<StatusOr<DirOpReply>> RawNfsCaller::Lookup(NfsFh dir, std::string name) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
-  auto body_or = co_await Call(kNfsLookup, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "lookup");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeDirOpReply(dec);
-  co_return reply_or;
+  co_return DecodeNfsReply<DirOpReply>(
+      kNfsLookup,
+      co_await transport_->Call(kNfsLookup, TimerClassForProc(kNfsLookup), std::move(args)));
 }
 
 CoTask<StatusOr<size_t>> RawNfsCaller::Read(NfsFh file, uint32_t offset, uint32_t count) {
@@ -63,20 +34,8 @@ CoTask<StatusOr<size_t>> RawNfsCaller::Read(NfsFh file, uint32_t offset, uint32_
   read_args.offset = offset;
   read_args.count = count;
   EncodeReadArgs(enc, read_args);
-  auto body_or = co_await Call(kNfsRead, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "read");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeReadReply(dec);
+  auto reply_or = DecodeNfsReply<ReadReply>(
+      kNfsRead, co_await transport_->Call(kNfsRead, TimerClassForProc(kNfsRead), std::move(args)));
   if (!reply_or.ok()) {
     co_return reply_or.status();
   }
@@ -92,21 +51,9 @@ CoTask<StatusOr<FileAttr>> RawNfsCaller::Write(NfsFh file, uint32_t offset,
   write_args.offset = offset;
   write_args.data.Append(data.data(), data.size());
   EncodeWriteArgs(enc, std::move(write_args));
-  auto body_or = co_await Call(kNfsWrite, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "write");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  co_return attr_or;
+  co_return DecodeNfsReply<FileAttr>(
+      kNfsWrite,
+      co_await transport_->Call(kNfsWrite, TimerClassForProc(kNfsWrite), std::move(args)));
 }
 
 CoTask<StatusOr<DirOpReply>> RawNfsCaller::Create(NfsFh dir, std::string name) {
@@ -117,37 +64,19 @@ CoTask<StatusOr<DirOpReply>> RawNfsCaller::Create(NfsFh dir, std::string name) {
   create_args.name = name;
   create_args.attrs.mode = 0644;
   EncodeCreateArgs(enc, create_args);
-  auto body_or = co_await Call(kNfsCreate, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "create");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeDirOpReply(dec);
-  co_return reply_or;
+  co_return DecodeNfsReply<DirOpReply>(
+      kNfsCreate,
+      co_await transport_->Call(kNfsCreate, TimerClassForProc(kNfsCreate), std::move(args)));
 }
 
 CoTask<Status> RawNfsCaller::Remove(NfsFh dir, std::string name) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
-  auto body_or = co_await Call(kNfsRemove, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  co_return StatusFromNfsStat(stat_or.value(), "remove");
+  co_return DecodeNfsReply<NfsStatOnly>(
+      kNfsRemove,
+      co_await transport_->Call(kNfsRemove, TimerClassForProc(kNfsRemove), std::move(args)))
+      .status();
 }
 
 CoTask<StatusOr<ReaddirReply>> RawNfsCaller::Readdir(NfsFh dir, uint32_t cookie, uint32_t count) {
@@ -158,21 +87,9 @@ CoTask<StatusOr<ReaddirReply>> RawNfsCaller::Readdir(NfsFh dir, uint32_t cookie,
   readdir_args.cookie = cookie;
   readdir_args.count = count;
   EncodeReaddirArgs(enc, readdir_args);
-  auto body_or = co_await Call(kNfsReaddir, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "readdir");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeReaddirReply(dec);
-  co_return reply_or;
+  co_return DecodeNfsReply<ReaddirReply>(
+      kNfsReaddir,
+      co_await transport_->Call(kNfsReaddir, TimerClassForProc(kNfsReaddir), std::move(args)));
 }
 
 // --- Nhfsstone ------------------------------------------------------------------

@@ -46,7 +46,6 @@ class RawNfsCaller {
   RpcClientTransport* transport() { return transport_; }
 
  private:
-  CoTask<StatusOr<MbufChain>> Call(uint32_t proc, MbufChain args);
   RpcClientTransport* transport_;
 };
 

@@ -220,6 +220,55 @@ TEST(ChaosTest, TcpHardMountSurvivesCorruptionStorm) {
             0u);
 }
 
+// The same kind of storm under three clients sharing one file population:
+// the report's client-side counters cover every client, not only client 0.
+TEST(ChaosTest, MultiClientCorruptionStormCountsEveryClient) {
+  WorldOptions options = QuietWorldOptions(TopologyKind::kSameLan, HardMount());
+  options.clients = 3;
+  World world(options);
+  DumpOnFailure dump_on_failure(world);
+  ChaosOptions chaos;
+  chaos.workload = ChaosWorkload::kOpMix;
+  chaos.opmix.shared_files = true;
+  chaos.opmix.operations = 120;
+  chaos.crash = false;
+  chaos.flap = false;
+  chaos.corrupt = true;
+  chaos.corrupt_at = Seconds(1);
+  chaos.corrupt_duration = Seconds(30);
+  chaos.corruption.bit_flip = 0.15;
+  chaos.corruption.truncate = 0.05;
+
+  ChaosReport report = RunChaos(world, chaos);
+
+  EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
+  EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
+  uint64_t checksum_drops = world.server_udp()->stats().checksum_failures +
+                            world.server_tcp()->stack_stats().checksum_drops;
+  uint64_t corrupted_records = world.server().rpc_stats().corrupted_records;
+  uint64_t write_errors_latched = 0;
+  uint64_t retry_errors_absorbed = 0;
+  uint64_t other_client_drops = 0;
+  for (size_t i = 0; i < world.client_count(); ++i) {
+    const uint64_t drops = world.client_udp(i)->stats().checksum_failures +
+                           world.client_tcp(i)->stack_stats().checksum_drops;
+    checksum_drops += drops;
+    if (i > 0) {
+      other_client_drops += drops;
+    }
+    corrupted_records += world.client(i).transport_stats().corrupted_records;
+    write_errors_latched += world.client(i).stats().write_errors_latched;
+    retry_errors_absorbed += world.client(i).stats().retry_errors_absorbed;
+  }
+  // The storm reached the other clients' ends too, so a count of client 0
+  // alone falls short.
+  EXPECT_GT(other_client_drops, 0u) << report.SummaryLine();
+  EXPECT_EQ(report.checksum_drops, checksum_drops) << report.SummaryLine();
+  EXPECT_EQ(report.corrupted_records, corrupted_records) << report.SummaryLine();
+  EXPECT_EQ(report.write_errors_latched, write_errors_latched) << report.SummaryLine();
+  EXPECT_EQ(report.retry_errors_absorbed, retry_errors_absorbed) << report.SummaryLine();
+}
+
 // A slow disk (every op inflated 6x mid-run) is the paper's Section 5
 // saturation regime: nothing fails, but WRITE-heavy load piles every nfsd
 // up behind the device queue. Write gathering exists for exactly this —

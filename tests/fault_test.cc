@@ -368,6 +368,122 @@ TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedTcp) {
   EXPECT_EQ(world.client().stats().retry_errors_absorbed, 0u);
 }
 
+// --- Reno's retry rule, per procedure ------------------------------------------
+// A non-idempotent call whose reply is lost, retransmitted to a server whose
+// duplicate cache died in a crash, is executed a second time and comes back
+// with the error that re-execution echoes: EEXIST for the procedures that
+// make a name, ENOENT for those that take one away. The client absorbs
+// exactly that error, and only on a retransmitted call; on a first
+// transmission the same error is the caller's answer.
+
+struct RetryRuleCase {
+  const char* name;
+  uint32_t proc;
+  ErrorCode echo;
+  const char* made;  // name the op leaves behind, or nullptr
+  const char* gone;  // name the op takes away, or nullptr
+};
+
+void PrintTo(const RetryRuleCase& c, std::ostream* os) { *os << c.name; }
+
+// Stable storage holds file "f" and directory "d"; the op targets "new".
+// `name_taken` also creates "new" first; `sources` = false leaves out "f"
+// and "d", so the removers find nothing to remove.
+void SeedRetryRuleTree(NfsWorld& world, bool sources, bool name_taken) {
+  LocalFs& fs = *world.fs;
+  if (sources) {
+    ASSERT_TRUE(fs.Create(fs.root(), "f", 0644).ok());
+    ASSERT_TRUE(fs.Mkdir(fs.root(), "d", 0755).ok());
+  }
+  if (name_taken) {
+    ASSERT_TRUE(fs.Create(fs.root(), "new", 0644).ok());
+  }
+}
+
+CoTask<Status> RunRetryRuleOp(NfsWorld& world, uint32_t proc) {
+  NfsClient& client = world.client();
+  const NfsFh root = client.root();
+  switch (proc) {
+    case kNfsCreate:
+      co_return (co_await client.Create(root, "new")).status();
+    case kNfsMkdir:
+      co_return (co_await client.Mkdir(root, "new")).status();
+    case kNfsRemove:
+      co_return co_await client.Remove(root, "f");
+    case kNfsRmdir:
+      co_return co_await client.Rmdir(root, "d");
+    case kNfsRename:
+      co_return co_await client.Rename(root, "f", root, "new");
+    case kNfsLink: {
+      const Ino ino = world.fs->Lookup(world.fs->root(), "f").value();
+      co_return co_await client.Link(NfsFh::Make(root.fsid(), ino), root, "new");
+    }
+    case kNfsSymlink:
+      co_return co_await client.Symlink(root, "new", "f");
+  }
+  co_return InvalidArgumentError("not a retry-rule procedure");
+}
+
+class RetryRuleTest : public ::testing::TestWithParam<RetryRuleCase> {};
+
+TEST_P(RetryRuleTest, EchoOfReexecutedRetransmissionIsAbsorbed) {
+  const RetryRuleCase& c = GetParam();
+  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
+  DumpTraceOnFailure dump_on_failure(world);
+  SeedRetryRuleTree(world, /*sources=*/true, /*name_taken=*/false);
+  // The first reply is lost to a one-way partition; the crash at 50 ms
+  // empties the duplicate cache, so the retransmission at the 500 ms
+  // timeout, after both faults have healed, is executed again.
+  FaultInjector injector(world.scheduler());
+  injector.PartitionAt(world.topo.client, world.topo.server->id(), /*inbound=*/true,
+                       /*at=*/0, /*duration=*/Milliseconds(400));
+  injector.ServerCrashRestartAt(world.server.get(), /*crash_at=*/Milliseconds(50),
+                                /*downtime=*/Milliseconds(100));
+
+  auto task = RunRetryRuleOp(world, c.proc);
+  Status status = world.Run(task);
+
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(world.client().stats().retry_errors_absorbed, 1u);
+  EXPECT_EQ(world.client().transport_stats().retransmits, 1u);
+  EXPECT_EQ(world.server->crash_count(), 1u);
+  LocalFs& fs = *world.fs;
+  if (c.made != nullptr) {
+    EXPECT_TRUE(fs.Lookup(fs.root(), c.made).ok()) << c.made;
+  }
+  if (c.gone != nullptr) {
+    EXPECT_FALSE(fs.Lookup(fs.root(), c.gone).ok()) << c.gone;
+  }
+}
+
+TEST_P(RetryRuleTest, SameErrorOnFirstTransmissionReachesCaller) {
+  const RetryRuleCase& c = GetParam();
+  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
+  DumpTraceOnFailure dump_on_failure(world);
+  // The state the op's own earlier execution would have left: the removers'
+  // sources missing, the makers' name already taken.
+  const bool removes = c.echo == ErrorCode::kNoEnt;
+  SeedRetryRuleTree(world, /*sources=*/!removes, /*name_taken=*/!removes);
+
+  auto task = RunRetryRuleOp(world, c.proc);
+  Status status = world.Run(task);
+
+  EXPECT_EQ(status.code(), c.echo) << status;
+  EXPECT_EQ(world.client().stats().retry_errors_absorbed, 0u);
+  EXPECT_EQ(world.client().transport_stats().retransmits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Procs, RetryRuleTest,
+    ::testing::Values(RetryRuleCase{"create", kNfsCreate, ErrorCode::kExist, "new", nullptr},
+                      RetryRuleCase{"mkdir", kNfsMkdir, ErrorCode::kExist, "new", nullptr},
+                      RetryRuleCase{"link", kNfsLink, ErrorCode::kExist, "new", nullptr},
+                      RetryRuleCase{"symlink", kNfsSymlink, ErrorCode::kExist, "new", nullptr},
+                      RetryRuleCase{"remove", kNfsRemove, ErrorCode::kNoEnt, nullptr, "f"},
+                      RetryRuleCase{"rmdir", kNfsRmdir, ErrorCode::kNoEnt, nullptr, "d"},
+                      RetryRuleCase{"rename", kNfsRename, ErrorCode::kNoEnt, "new", "f"}),
+    [](const ::testing::TestParamInfo<RetryRuleCase>& param) { return param.param.name; });
+
 // The injector's trace is appended at fire time in event order and is
 // deterministic for a fixed schedule.
 // --- Page-loaning pin protocol (tentpole coverage, run under ASan) ---

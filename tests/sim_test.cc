@@ -340,6 +340,43 @@ TEST(SchedulerWheelTest, SameTickFifoAcrossWheelLevels) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
+TEST(SchedulerWheelTest, SameInstantOrderSurvivesHigherSlotCascade) {
+  Scheduler sched;
+  std::vector<int> order;
+  // 4096 ns is the start of a level-2 slot (64^2 one-ns ticks) as seen from
+  // time 0, where ids 0 and 1 are scheduled onto it. A callback inside the
+  // slot's level-1 predecessor then schedules onto that same instant (id 2)
+  // and into the slot's span (id 3, listed first); id 4 joins later (below).
+  // The instant fires every event on it in scheduling order, then id 3.
+  const SimTime slot_start = Nanoseconds(4096);
+  sched.Schedule(slot_start, [&]() { order.push_back(0); });
+  sched.Schedule(slot_start, [&]() { order.push_back(1); });
+  sched.Schedule(Nanoseconds(4000), [&]() {
+    sched.Schedule(Nanoseconds(104), [&]() { order.push_back(3); });
+    sched.Schedule(slot_start - sched.now(), [&]() { order.push_back(2); });
+  });
+  // Stop short of the slot: the clock moves to 4050 while the cursor stays
+  // behind, and a same-instant event scheduled now joins the slot unfired.
+  sched.RunUntil(Nanoseconds(4050));
+  sched.Schedule(slot_start - sched.now(), [&]() { order.push_back(4); });
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3}));
+}
+
+TEST(SchedulerWheelTest, RestartedTimerFiresAfterEventScheduledBetweenStarts) {
+  Scheduler sched;
+  std::vector<int> order;
+  Timer timer(sched, [&]() { order.push_back(1); });
+  timer.Start(Milliseconds(1));
+  sched.Schedule(Milliseconds(2), [&]() { order.push_back(0); });
+  // Restarting the still-pending timer moves its node in place; it must take
+  // a fresh sequence number, like a cancel plus a new Schedule, and so fire
+  // after the event scheduled before the restart for the same instant.
+  timer.Start(Milliseconds(2));
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
 TEST(SchedulerWheelTest, FarFutureOverflowCascades) {
   Scheduler sched;
   std::vector<SimTime> fired_at;
