@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: plain build + full test suite, then the fault, chaos,
-# fuzz, retry-rule and scheduler suites again under ASan+UBSan. This is the exact command sequence
+# fuzz, retry-rule, scheduler and mbuf suites again under ASan+UBSan (mbuf for
+# the checksum's unaligned word loads). This is the exact command sequence
 # ROADMAP.md declares as "Tier-1 verify" — keep the two in sync.
 #
 # Every sub-step either runs or fails the script: the tools the steps depend
@@ -147,7 +148,7 @@ rm -f "${TRACE_TMP}" "${TIMELINE_TMP}"
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"
 ctest --preset asan -j "${JOBS}" \
-  -R 'FaultTest|ChaosTest|FuzzTest|RetryRuleTest|SchedulerWheelTest|SchedulerStampTest'
+  -R 'FaultTest|ChaosTest|FuzzTest|RetryRuleTest|SchedulerWheelTest|SchedulerStampTest|MbufTest'
 
 # Scenario-matrix smoke (ASan build): the 3-cell quick subset of the
 # workload × transport × topology × fault matrix, every cell gated and its

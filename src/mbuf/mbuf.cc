@@ -1,6 +1,7 @@
 #include "src/mbuf/mbuf.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/logging.h"
 #include "src/util/pool.h"
@@ -384,35 +385,80 @@ MbufChain MbufChain::SplitOff(size_t at) {
   return rest;
 }
 
-void MbufChain::ForEachSegment(const std::function<void(const uint8_t*, size_t)>& fn) const {
-  for (const Mbuf* m = head_.get(); m != nullptr; m = m->next()) {
-    if (m->length() > 0) {
-      fn(m->data(), m->length());
-    }
-  }
+namespace {
+
+// Adds w into acc with end-around carry: a one's-complement add at 64 bits.
+void AddWithCarry(uint64_t& acc, uint64_t w) {
+  acc += w;
+  acc += acc < w;
 }
 
+// One's-complement sum of [p, p + n) read as native-order 16-bit words (a
+// trailing odd byte padded with a zero byte after it), folded to 16 bits.
+// RFC 1071 §2: carries may be deferred, and 2^64 - 1 is a multiple of
+// 2^16 - 1, so 64-bit words summed with end-around carry fold to the same
+// value as the 16-bit word sum. memcpy loads keep unaligned data safe.
+uint16_t FoldedNativeSum(const uint8_t* p, size_t n) {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  for (; n >= 16; p += 16, n -= 16) {
+    uint64_t w0;
+    uint64_t w1;
+    std::memcpy(&w0, p, 8);
+    std::memcpy(&w1, p + 8, 8);
+    AddWithCarry(a, w0);
+    AddWithCarry(b, w1);
+  }
+  if (n >= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    AddWithCarry(a, w);
+    p += 8;
+    n -= 8;
+  }
+  for (; n >= 2; p += 2, n -= 2) {
+    uint16_t w;
+    std::memcpy(&w, p, 2);
+    AddWithCarry(b, w);
+  }
+  if (n == 1) {
+    uint16_t w = 0;
+    std::memcpy(&w, p, 1);
+    AddWithCarry(b, w);
+  }
+  AddWithCarry(a, b);
+  // Each fold keeps the value mod 0xffff and keeps it non-zero unless every
+  // word was zero; three 16-bit folds bring 33 bits down to 16.
+  uint64_t sum = (a & 0xffffffff) + (a >> 32);
+  sum = (sum & 0xffff) + (sum >> 16);
+  sum = (sum & 0xffff) + (sum >> 16);
+  sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<uint16_t>(sum);
+}
+
+}  // namespace
+
 uint16_t MbufChain::InternetChecksum() const {
+  static_assert(std::endian::native == std::endian::little ||
+                    std::endian::native == std::endian::big,
+                "mixed-endian hosts are not supported");
+  // A native sum is the network-order sum of the segment's own bytes
+  // byte-swapped on a little-endian host; a segment at an odd chain offset
+  // needs one more swap, since its first byte is the low byte of a network
+  // word. A byte swap is multiplication by 256 mod 0xffff, so swapping the
+  // folded sum is exact.
+  constexpr bool kLittle = std::endian::native == std::endian::little;
   uint64_t sum = 0;
-  bool odd = false;
-  uint8_t pending = 0;
-  ForEachSegment([&](const uint8_t* p, size_t n) {
-    size_t i = 0;
-    if (odd && n > 0) {
-      sum += static_cast<uint64_t>(pending) << 8 | p[0];
-      i = 1;
-      odd = false;
+  size_t offset = 0;
+  for (const Mbuf* m = head_.get(); m != nullptr; m = m->next()) {
+    const size_t n = m->length();
+    if (n == 0) {
+      continue;
     }
-    for (; i + 1 < n; i += 2) {
-      sum += static_cast<uint64_t>(p[i]) << 8 | p[i + 1];
-    }
-    if (i < n) {
-      pending = p[i];
-      odd = true;
-    }
-  });
-  if (odd) {
-    sum += static_cast<uint64_t>(pending) << 8;
+    const uint16_t folded = FoldedNativeSum(m->data(), n);
+    const bool swap = ((offset & 1) == 0) == kLittle;
+    sum += swap ? static_cast<uint16_t>(folded << 8 | folded >> 8) : folded;
+    offset += n;
   }
   while (sum >> 16) {
     sum = (sum & 0xffff) + (sum >> 16);

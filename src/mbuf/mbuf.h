@@ -207,10 +207,20 @@ class MbufChain {
   // Splits this chain at `at`; this keeps [0, at), the remainder is returned.
   MbufChain SplitOff(size_t at);
 
-  // Invokes fn(ptr, len) for each non-empty segment in order.
-  void ForEachSegment(const std::function<void(const uint8_t*, size_t)>& fn) const;
+  // Invokes visit(ptr, len) for each non-empty segment in order.
+  template <typename Visitor>
+  void ForEachSegment(Visitor&& visit) const {
+    for (const Mbuf* m = head_.get(); m != nullptr; m = m->next()) {
+      if (m->length() > 0) {
+        visit(m->data(), m->length());
+      }
+    }
+  }
 
   // Internet checksum (RFC 1071 16-bit one's complement) over the contents.
+  // Each segment is summed a 64-bit word at a time in native byte order and
+  // folded; segments that start on the other byte lane are byte-swapped into
+  // place (DESIGN.md §9).
   uint16_t InternetChecksum() const;
 
   Mbuf* head() { return head_.get(); }

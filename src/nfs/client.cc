@@ -753,6 +753,27 @@ CoTask<StatusOr<FileAttr>> NfsClient::Getattr(NfsFh file) {
 
 CoTask<Status> NfsClient::Setattr(NfsFh file, SetAttrRequest request) {
   node_->cpu().ChargeBackground(node_->profile().syscall_overhead, CostCategory::kNfsProc);
+  if (request.size.has_value()) {
+    // 4.4BSD nfs_setattr saves dirty buffers before it truncates (vinvalbuf
+    // with V_SAVE): local writes below the cut must reach the server before
+    // the SETATTR, because the cache is dropped after it. Dirty blocks wholly
+    // past the cut die with the truncation, unpushed.
+    co_await StateFor(file).async_writes.Wait();
+    const uint64_t key = file.Key();
+    for (Buf* buf : cache_.DirtyBufs(key)) {
+      if (static_cast<uint64_t>(buf->block()) * kNfsMaxData >= *request.size) {
+        cache_.Remove(key, buf->block());
+      }
+    }
+    Status pushed = co_await PushDirty(file);
+    if (!pushed.ok()) {
+      co_return pushed;
+    }
+    Status latched = TakeWriteError(StateFor(file));
+    if (!latched.ok()) {
+      co_return latched;  // the saved bytes did not reach the server
+    }
+  }
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeSetattrArgs(enc, SetattrArgs{file, request});
@@ -763,9 +784,8 @@ CoTask<Status> NfsClient::Setattr(NfsFh file, SetAttrRequest request) {
   }
   NoteAttrs(file, attr_or.value());
   if (request.size.has_value()) {
-    // Truncation changes the data; drop cached blocks (dirty data below
-    // the cut was already pushed by the caller or is being discarded with
-    // the truncation, matching local-file semantics).
+    // Truncation changes the data; drop the cached blocks (their dirty
+    // bytes below the cut were pushed above).
     cache_.InvalidateFile(file.Key());
     FileState& state = StateFor(file);
     state.data_mtime = std::max(state.data_mtime, attr_or->mtime);

@@ -1,6 +1,5 @@
 #include "src/sim/scheduler.h"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <utility>
@@ -83,6 +82,7 @@ void Scheduler::InsertWheel(EventNode* node) {
   node->wheel_level = static_cast<int8_t>(level);
   node->wheel_slot = static_cast<uint8_t>(index);
   occupied_[level] |= uint64_t{1} << index;
+  nonempty_levels_ |= uint32_t{1} << level;
   ++wheel_size_;
 }
 
@@ -99,7 +99,7 @@ void Scheduler::UnlinkNode(EventNode* node) {
     slot.tail = node->prev;
   }
   if (slot.head == nullptr) {
-    occupied_[node->wheel_level] &= ~(uint64_t{1} << node->wheel_slot);
+    ClearOccupied(node->wheel_level, node->wheel_slot);
   }
   node->wheel_level = -1;
   node->next = nullptr;
@@ -108,60 +108,48 @@ void Scheduler::UnlinkNode(EventNode* node) {
 
 bool Scheduler::FindNextTick(SimTime cap) {
   for (;;) {
-    if (wheel_size_ == 0) {
+    if (nonempty_levels_ == 0) {
       return false;
     }
-    // The earliest candidate across levels: for level 0 the slot start IS the
-    // event time; higher levels give a lower bound (their slots are wider).
-    // Ties prefer the higher level so a far slot whose span begins exactly at
-    // a due tick is cascaded before that tick fires — its events may carry
-    // earlier sequence numbers.
-    int best_level = -1;
-    int best_index = 0;
-    SimTime best_time = 0;
-    for (int level = 0; level < kLevels; ++level) {
-      if (occupied_[level] == 0) {
-        continue;
-      }
-      const int cursor = static_cast<int>(
-          (static_cast<uint64_t>(cur_tick_) >> (level * kLevelBits)) &
-          (kSlotsPerLevel - 1));
-      // Pending events never sit below the cursor digit at their level.
-      const uint64_t mask = occupied_[level] >> cursor;
-      CHECK(mask != 0) << "timing wheel: occupied slot behind the cursor";
-      const int index = cursor + std::countr_zero(mask);
-      const int base_shift = (level + 1) * kLevelBits;
-      const uint64_t base =
-          base_shift >= 64
-              ? 0
-              : static_cast<uint64_t>(cur_tick_) &
-                    ~((uint64_t{1} << base_shift) - 1);
-      const uint64_t slot_start =
-          base | (static_cast<uint64_t>(index) << (level * kLevelBits));
-      const SimTime t = std::max(static_cast<SimTime>(slot_start), cur_tick_);
-      if (best_level < 0 || t < best_time ||
-          (t == best_time && level > best_level)) {
-        best_time = t;
-        best_level = level;
-        best_index = index;
-      }
-    }
-    CHECK_GE(best_level, 0);
-    if (best_time > cap) {
+    // The lowest non-empty level holds the earliest candidate: a level-L node
+    // shares every digit above L with the cursor and exceeds it at digit L,
+    // so it lies past the cursor's level-L slot, which is where every
+    // lower-level node lies. For level 0 the slot start IS the event time;
+    // higher levels give a lower bound (their slots are wider).
+    const int level = std::countr_zero(nonempty_levels_);
+    const int shift = level * kLevelBits;
+    const int cursor = static_cast<int>(
+        (static_cast<uint64_t>(cur_tick_) >> shift) & (kSlotsPerLevel - 1));
+    // Pending events never sit below the cursor digit at their level.
+    const uint64_t mask = occupied_[level] >> cursor;
+    CHECK(mask != 0) << "timing wheel: occupied slot behind the cursor";
+    const int index = cursor + std::countr_zero(mask);
+    // The cursor enters a far slot's span only by cascading that slot, so no
+    // slot at level 1 or above is ever occupied at the cursor's own digit.
+    CHECK(level == 0 || index > cursor)
+        << "timing wheel: far slot occupied at the cursor digit";
+    const int base_shift = shift + kLevelBits;
+    const uint64_t base =
+        base_shift >= 64
+            ? 0
+            : static_cast<uint64_t>(cur_tick_) & ~((uint64_t{1} << base_shift) - 1);
+    const SimTime slot_start =
+        static_cast<SimTime>(base | (static_cast<uint64_t>(index) << shift));
+    if (slot_start > cap) {
       return false;
     }
-    cur_tick_ = best_time;
-    if (best_level == 0) {
+    cur_tick_ = slot_start;
+    if (level == 0) {
       return true;
     }
     // Cascade: deal the slot's nodes down relative to the advanced cursor.
-    // Each node lands at a strictly lower level (its level-`best_level` digit
-    // now matches the cursor's), so this terminates.
-    Slot& slot = slots_[best_level][best_index];
+    // Each node lands at a strictly lower level (its level-`level` digit now
+    // matches the cursor's), so this terminates.
+    Slot& slot = slots_[level][index];
     EventNode* node = slot.head;
     slot.head = nullptr;
     slot.tail = nullptr;
-    occupied_[best_level] &= ~(uint64_t{1} << best_index);
+    ClearOccupied(level, index);
     while (node != nullptr) {
       EventNode* next = node->next;
       // Cancelled nodes never sit in slots (Cancel unlinks them eagerly), so
@@ -197,7 +185,7 @@ size_t Scheduler::FireCurrentTick() {
     }
     slot.head = nullptr;
     slot.tail = nullptr;
-    occupied_[0] &= ~(uint64_t{1} << index);
+    ClearOccupied(0, index);
     for (EventNode* node : fire_buf_) {
       if (node->cancelled) {
         RecycleNode(node);

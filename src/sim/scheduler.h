@@ -9,14 +9,16 @@
 // The implementation is a hierarchical timing wheel: 11 levels of 64 slots,
 // 6 bits of the absolute nanosecond tick per level, a uint64 occupancy
 // bitmap per level. Insertion is O(1) (the level is the highest 6-bit digit
-// where the event time differs from the wheel cursor), firing scans bitmaps
-// with countr_zero and lazily cascades far-future slots toward level 0 as
+// where the event time differs from the wheel cursor). Finding the next
+// tick is O(1): a summary word of non-empty levels names the lowest one,
+// which always holds the earliest slot, and countr_zero on that level's
+// bitmap finds the slot; far-future slots cascade lazily toward level 0 as
 // the cursor advances. Events are fixed-size pooled nodes with small-buffer
 // callable storage, so the steady state allocates nothing; slots are doubly
 // linked, so Cancel unlinks and recycles the node in O(1) (the 4.3BSD
 // callout wheel's untimeout() move) instead of leaving a tombstone to
 // cascade and drain. Level-0 slots are 1 ns wide, so a slot holds exactly
-// one instant; its batch is sorted by sequence number before firing, which
+// one instant; its list is already in sequence order when it fires, which
 // is what makes the order a strict (time, seq) comparison. See DESIGN.md §14.
 //
 // EventHandle holds a raw pointer + generation counter into the wheel's node
@@ -226,6 +228,14 @@ class Scheduler {
   // Removes a slot-linked node from its slot (O(1) via the prev link),
   // clearing the occupancy bit if the slot empties. Does not recycle.
   void UnlinkNode(EventNode* node);
+  // Clears an emptied slot's occupancy bit, and its level's summary bit
+  // when that was the level's last occupied slot.
+  void ClearOccupied(int level, int index) {
+    occupied_[level] &= ~(uint64_t{1} << index);
+    if (occupied_[level] == 0) {
+      nonempty_levels_ &= ~(uint32_t{1} << level);
+    }
+  }
   // Advances cur_tick_ (cascading far slots down) to the earliest pending
   // tick <= cap. Returns false when the wheel is empty or the earliest
   // possible event lies beyond cap; cur_tick_ never passes cap.
@@ -248,6 +258,9 @@ class Scheduler {
   SimTime cur_tick_ = 0;
   size_t wheel_size_ = 0;  // nodes in slots, cancelled included
   std::array<uint64_t, kLevels> occupied_{};
+  // Bit L set iff occupied_[L] != 0; its lowest set bit names the level
+  // holding the earliest pending slot.
+  uint32_t nonempty_levels_ = 0;
   std::array<std::array<Slot, kSlotsPerLevel>, kLevels> slots_{};
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   EventNode* free_list_ = nullptr;
@@ -255,7 +268,7 @@ class Scheduler {
   uint64_t nodes_in_use_ = 0;
   uint64_t nodes_high_water_ = 0;
   uint64_t callable_heap_allocs_ = 0;
-  std::vector<EventNode*> fire_buf_;  // reused per-tick sort scratch
+  std::vector<EventNode*> fire_buf_;  // reused per-tick batch scratch
 };
 
 inline bool Scheduler::EventHandle::pending() const {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -219,6 +221,127 @@ TEST_F(MbufTest, ChecksumInvariantUnderFragmentationLayout) {
     off += n;
   }
   EXPECT_EQ(pieces.InternetChecksum(), whole.InternetChecksum());
+}
+
+// RFC 1071 reference: sum network-order byte pairs over the contiguous
+// bytes (an odd last byte padded with zero), fold, complement.
+uint16_t BytePairChecksum(const std::vector<uint8_t>& data) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < data.size(); i += 2) {
+    const uint64_t lo = i + 1 < data.size() ? data[i + 1] : 0;
+    sum += static_cast<uint64_t>(data[i]) << 8 | lo;
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum & 0xffff);
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng.NextUint64());
+  }
+  return out;
+}
+
+// Spreads `data` over a chain of random odd and even segment lengths: cluster
+// pieces are CopyRange views into a source chain shifted by a random pad, so
+// they start at arbitrary (often unaligned) addresses, and short pieces are
+// small-mbuf copies.
+MbufChain RandomlySegmented(const std::vector<uint8_t>& data, Rng& rng) {
+  const size_t pad = rng.UniformUint64(8);
+  MbufChain source;
+  source.AppendZeros(pad);
+  source.Append(data.data(), data.size());
+  MbufChain out;
+  size_t off = 0;
+  while (off < data.size()) {
+    const size_t cap = rng.Bernoulli(0.3) ? 4 : 700;
+    const size_t n = std::min<size_t>(data.size() - off, 1 + rng.UniformUint64(cap));
+    if (n <= Mbuf::kSmallCapacity && rng.Bernoulli(0.3)) {
+      out.Concat(MbufChain::FromBytes(data.data() + off, n));
+    } else {
+      out.Concat(source.CopyRange(pad + off, n));
+    }
+    off += n;
+  }
+  return out;
+}
+
+TEST_F(MbufTest, ChecksumMatchesBytePairReferenceOnRandomChains) {
+  Rng rng(1071);
+  bool saw_odd_offset = false;
+  bool saw_unaligned_address = false;
+  for (int round = 0; round < 300; ++round) {
+    const auto data = RandomBytes(rng, rng.UniformUint64(5000));
+    const MbufChain chain = RandomlySegmented(data, rng);
+    ASSERT_EQ(chain.ContiguousCopy(), data);
+    size_t offset = 0;
+    chain.ForEachSegment([&](const uint8_t* p, size_t n) {
+      saw_odd_offset |= (offset & 1) != 0;
+      saw_unaligned_address |= (reinterpret_cast<uintptr_t>(p) & 7) != 0;
+      offset += n;
+    });
+    ASSERT_EQ(chain.InternetChecksum(), BytePairChecksum(data)) << "round " << round;
+  }
+  EXPECT_TRUE(saw_odd_offset);
+  EXPECT_TRUE(saw_unaligned_address);
+}
+
+TEST_F(MbufTest, ChecksumMatchesReferenceForEveryShortLength) {
+  // Every length around the 16-byte unroll and its 8/2/1-byte tails, both
+  // contiguous and split into odd pieces at an unaligned start.
+  Rng rng(16);
+  for (size_t len = 0; len <= 40; ++len) {
+    const auto data = RandomBytes(rng, len);
+    const MbufChain whole = MbufChain::FromBytes(data.data(), data.size());
+    EXPECT_EQ(whole.InternetChecksum(), BytePairChecksum(data)) << "len " << len;
+    for (int split = 0; split < 4; ++split) {
+      EXPECT_EQ(RandomlySegmented(data, rng).InternetChecksum(), BytePairChecksum(data))
+          << "len " << len << " split " << split;
+    }
+  }
+}
+
+TEST_F(MbufTest, ChecksumEdgePayloads) {
+  Rng rng(0xffff);
+  // All-zero data sums to 0 and checksums to 0xffff; all-0xff data of even
+  // length sums to the one's-complement "negative zero" 0xffff and checksums
+  // to 0 (an odd length leaves a padded 0xff00 word: checksum 0x00ff).
+  for (const size_t len : {1, 2, 3, 17, 1500, 8192}) {
+    for (const uint8_t fill : {0x00, 0xff}) {
+      const std::vector<uint8_t> data(len, fill);
+      const uint16_t expected = BytePairChecksum(data);
+      EXPECT_EQ(expected, fill == 0 ? 0xffff : (len % 2 == 1 ? 0x00ff : 0));
+      EXPECT_EQ(MbufChain::FromBytes(data.data(), len).InternetChecksum(), expected);
+      EXPECT_EQ(RandomlySegmented(data, rng).InternetChecksum(), expected);
+    }
+  }
+  // Random bytes closed by the word that makes the true sum fold to 0xffff:
+  // the checksum is 0, never the other zero 0xffff.
+  for (int round = 0; round < 20; ++round) {
+    auto data = RandomBytes(rng, 2 * (1 + rng.UniformUint64(2000)));
+    const uint16_t folded = static_cast<uint16_t>(~BytePairChecksum(data));
+    const uint16_t closing = static_cast<uint16_t>(0xffff - folded);
+    data.push_back(static_cast<uint8_t>(closing >> 8));
+    data.push_back(static_cast<uint8_t>(closing & 0xff));
+    ASSERT_EQ(BytePairChecksum(data), 0);
+    EXPECT_EQ(MbufChain::FromBytes(data.data(), data.size()).InternetChecksum(), 0);
+    EXPECT_EQ(RandomlySegmented(data, rng).InternetChecksum(), 0);
+  }
+}
+
+TEST_F(MbufTest, ChecksumDetectsSingleBitFlip) {
+  Rng rng(7);
+  for (int round = 0; round < 100; ++round) {
+    auto data = RandomBytes(rng, 1 + rng.UniformUint64(3000));
+    const uint16_t before = RandomlySegmented(data, rng).InternetChecksum();
+    data[rng.UniformUint64(data.size())] ^= static_cast<uint8_t>(1u << rng.UniformUint64(8));
+    const uint16_t after = RandomlySegmented(data, rng).InternetChecksum();
+    EXPECT_NE(after, before) << "round " << round;
+    EXPECT_EQ(after, BytePairChecksum(data)) << "round " << round;
+  }
 }
 
 TEST_F(MbufTest, ForEachSegmentCoversAllBytes) {

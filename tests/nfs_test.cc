@@ -568,6 +568,92 @@ TEST(NfsIntegrationTest, SetattrTruncateVisibleOnRead) {
   EXPECT_EQ(bytes_or->size(), 1000u);
 }
 
+TEST(NfsIntegrationTest, SetattrTruncateOfCachedFileDropsBlocksPastCut) {
+  NfsWorld world;
+  const auto data = Pattern(3 * kNfsMaxData, 5);
+  NfsFh fh;
+  auto setup = WriteFile(world.client(), world.client().root(), "cached", data, &fh);
+  ASSERT_TRUE(world.Run(setup).ok());
+  auto warm = ReadFile(world.client(), fh, data.size());
+  auto warm_or = world.Run(warm);
+  ASSERT_TRUE(warm_or.ok()) << warm_or.status();
+  ASSERT_EQ(warm_or.value(), data);
+  ASSERT_EQ(world.client().buf_cache().FileBufCount(fh.Key()), 3u);
+
+  // Cut inside block 1: block 2 lies wholly past it.
+  const uint64_t cut = kNfsMaxData + 1000;
+  auto truncate = [](NfsClient& c, NfsFh f, uint64_t size) -> CoTask<Status> {
+    SetAttrRequest request;
+    request.size = size;
+    co_return co_await c.Setattr(f, request);
+  }(world.client(), fh, cut);
+  ASSERT_TRUE(world.Run(truncate).ok());
+  EXPECT_LE(world.client().buf_cache().FileBufCount(fh.Key()), 2u);
+
+  // The read asks for the old length and gets exactly the bytes below the
+  // cut: the client's local size followed the truncation.
+  auto verify = ReadFile(world.client(), fh, data.size());
+  auto bytes_or = world.Run(verify);
+  ASSERT_TRUE(bytes_or.ok()) << bytes_or.status();
+  EXPECT_EQ(bytes_or.value(), std::vector<uint8_t>(data.begin(), data.begin() + cut));
+  auto server_ino = world.fs->Lookup(world.fs->root(), "cached");
+  ASSERT_TRUE(server_ino.ok());
+  auto server_data = world.fs->Read(*server_ino, 0, data.size());
+  ASSERT_TRUE(server_data.ok());
+  EXPECT_EQ(server_data->size(), cut);
+}
+
+TEST(NfsIntegrationTest, SetattrTruncateSavesDirtyBytesBelowCut) {
+  // Delayed writes: 4 KB sit dirty in the client cache when the truncation
+  // to 2 KB arrives. Like 4.4BSD's nfs_setattr, the client must push the
+  // bytes below the cut before truncating, not drop them with the cache.
+  NfsWorld world;
+  const auto data = Pattern(4096, 11);
+  auto task = [](NfsWorld& w,
+                 std::vector<uint8_t> bytes) -> CoTask<StatusOr<std::vector<uint8_t>>> {
+    NfsClient& c = w.client();
+    auto fh_or = co_await c.Create(c.root(), "dirty");
+    if (!fh_or.ok()) {
+      co_return fh_or.status();
+    }
+    const NfsFh fh = fh_or.value();
+    co_await c.Open(fh);
+    Status written = co_await c.Write(fh, 0, bytes.data(), bytes.size());
+    if (!written.ok()) {
+      co_return written;
+    }
+    if (c.stats().write_rpcs() != 0) {
+      co_return InternalError("write pushed before the truncation");
+    }
+    SetAttrRequest request;
+    request.size = 2048;
+    Status truncated = co_await c.Setattr(fh, request);
+    if (!truncated.ok()) {
+      co_return truncated;
+    }
+    std::vector<uint8_t> back(bytes.size());
+    auto read_or = co_await c.Read(fh, 0, back.size(), back.data());
+    if (!read_or.ok()) {
+      co_return read_or.status();
+    }
+    back.resize(read_or.value());
+    Status closed = co_await c.Close(fh);
+    if (!closed.ok()) {
+      co_return closed;
+    }
+    co_return back;
+  }(world, data);
+  auto back_or = world.Run(task);
+  ASSERT_TRUE(back_or.ok()) << back_or.status();
+  const std::vector<uint8_t> kept(data.begin(), data.begin() + 2048);
+  EXPECT_EQ(back_or.value(), kept);
+  auto server_ino = world.fs->Lookup(world.fs->root(), "dirty");
+  ASSERT_TRUE(server_ino.ok());
+  auto server_data = world.fs->Read(*server_ino, 0, data.size());
+  ASSERT_TRUE(server_data.ok());
+  EXPECT_EQ(*server_data, kept);
+}
+
 TEST(NfsIntegrationTest, ServerCountsPerProcCalls) {
   NfsWorld world;
   NfsFh fh;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -477,6 +482,230 @@ TEST(SchedulerWheelTest, MatchesLegacyHeapOnSeededRandomSchedule) {
   sched.Run();
   EXPECT_EQ(log.size(), kGoldenLength);
   EXPECT_EQ(FireLogDigest(log), kGoldenDigest);
+}
+
+// Drives a Scheduler and a std::set keyed by (at, seq) in lockstep: every
+// Schedule, Timer::Start, Cancel and Timer::Stop is applied to both, each
+// fire appends the wheel's (now, id) to one log and pops the model's minimum
+// into the other, so the two logs agree exactly when the wheel fires in
+// strict (time, seq) order. Ids at and above kTimerIdBase are Timers.
+class WheelVersusSetModel {
+ public:
+  static constexpr int kTimers = 8;
+  static constexpr int kTimerIdBase = 1 << 30;
+  // Past this many plain events, callbacks stop adding new ones.
+  static constexpr int kMaxEvents = 6000;
+  // Every event lands at or before this, so now + delay never overflows.
+  static constexpr SimTime kHorizon = (SimTime{1} << 62) + (SimTime{1} << 61);
+
+  using Log = std::vector<std::pair<SimTime, int>>;
+
+  explicit WheelVersusSetModel(uint64_t seed) : rng_(seed) {
+    for (int t = 0; t < kTimers; ++t) {
+      timers_.push_back(
+          std::make_unique<Timer>(sched_, [this, t]() { Fire(kTimerIdBase + t); }));
+    }
+  }
+
+  // Log-uniform up to 2^62 ns, so every wheel level sees traffic; a quarter
+  // land on a shared grid of slot starts at a random level, so events from
+  // different rounds meet on one instant.
+  SimTime DrawDelay() {
+    const SimTime now = sched_.now();
+    SimTime delay;
+    if (rng_.Bernoulli(0.25)) {
+      const SimTime grid = SimTime{1} << (6 * (1 + rng_.UniformUint64(8)));
+      delay = (now / grid + 1 + static_cast<SimTime>(rng_.UniformUint64(4))) * grid - now;
+    } else {
+      const uint64_t bits = rng_.UniformUint64(63);
+      delay = static_cast<SimTime>(rng_.UniformUint64(uint64_t{1} << bits));
+    }
+    return std::min(delay, kHorizon - now);
+  }
+
+  void Add(SimTime delay) {
+    const int id = static_cast<int>(handles_.size());
+    handles_.push_back(sched_.Schedule(delay, [this, id]() { Fire(id); }));
+    Insert(id, sched_.now() + delay);
+  }
+
+  void CancelRandom() {
+    if (handles_.empty()) {
+      return;
+    }
+    const int id = static_cast<int>(rng_.UniformUint64(handles_.size()));
+    EXPECT_EQ(handles_[id].pending(), pending_.count(id) == 1) << "event " << id;
+    sched_.Cancel(handles_[id]);
+    Erase(id);
+  }
+
+  void RestartRandomTimer() {
+    const int t = static_cast<int>(rng_.UniformUint64(kTimers));
+    const SimTime delay = DrawDelay();
+    timers_[t]->Start(delay);
+    Erase(kTimerIdBase + t);
+    Insert(kTimerIdBase + t, sched_.now() + delay);
+  }
+
+  void StopRandomTimer() {
+    const int t = static_cast<int>(rng_.UniformUint64(kTimers));
+    EXPECT_EQ(timers_[t]->pending(), pending_.count(kTimerIdBase + t) == 1) << "timer " << t;
+    timers_[t]->Stop();
+    Erase(kTimerIdBase + t);
+  }
+
+  // Cancels everything, leaving the wheel empty with its cursor wherever the
+  // last fire or cascade put it.
+  void CancelAll() {
+    std::vector<int> ids;
+    for (const auto& [id, key] : pending_) {
+      ids.push_back(id);
+    }
+    for (const int id : ids) {
+      if (id >= kTimerIdBase) {
+        timers_[id - kTimerIdBase]->Stop();
+      } else {
+        sched_.Cancel(handles_[id]);
+      }
+      Erase(id);
+    }
+  }
+
+  // Anything the model still holds at or before the deadline was missed.
+  void RunUntil(SimTime deadline) {
+    sched_.RunUntil(deadline);
+    EXPECT_EQ(sched_.now(), deadline);
+    while (!model_.empty() && std::get<0>(*model_.begin()) <= deadline) {
+      PopModel();
+    }
+  }
+
+  void Drain() {
+    sched_.Run();
+    while (!model_.empty()) {
+      PopModel();
+    }
+  }
+
+  Scheduler& sched() { return sched_; }
+  Rng& rng() { return rng_; }
+  const Log& fired() const { return fired_; }
+  const Log& expected() const { return expected_; }
+
+ private:
+  using Key = std::tuple<SimTime, uint64_t, int>;  // (at, seq, id)
+
+  void Insert(int id, SimTime at) {
+    const Key key{at, model_seq_++, id};
+    model_.insert(key);
+    pending_[id] = key;
+  }
+
+  void Erase(int id) {
+    const auto it = pending_.find(id);
+    if (it != pending_.end()) {
+      model_.erase(it->second);
+      pending_.erase(it);
+    }
+  }
+
+  void PopModel() {
+    const auto [at, seq, id] = *model_.begin();
+    expected_.emplace_back(at, id);
+    Erase(id);
+  }
+
+  // Every callback: log, pop the model, then schedule (some at delay 0, the
+  // same instant), cancel, and restart or stop a Timer.
+  void Fire(int id) {
+    fired_.emplace_back(sched_.now(), id);
+    if (model_.empty()) {
+      expected_.emplace_back(-1, -1);
+    } else {
+      PopModel();
+    }
+    if (static_cast<int>(handles_.size()) < kMaxEvents) {
+      for (uint64_t n = rng_.UniformUint64(3); n > 0; --n) {
+        Add(DrawDelay());
+      }
+      if (rng_.Bernoulli(0.15)) {
+        Add(0);
+      }
+    }
+    if (rng_.Bernoulli(0.2)) {
+      CancelRandom();
+    }
+    if (rng_.Bernoulli(0.2)) {
+      RestartRandomTimer();
+    }
+    if (rng_.Bernoulli(0.1)) {
+      StopRandomTimer();
+    }
+  }
+
+  Scheduler sched_;
+  Rng rng_;
+  std::vector<std::unique_ptr<Timer>> timers_;
+  std::vector<Scheduler::EventHandle> handles_;
+  std::set<Key> model_;
+  std::map<int, Key> pending_;
+  uint64_t model_seq_ = 0;
+  Log fired_;
+  Log expected_;
+};
+
+TEST(SchedulerWheelTest, MatchesSetModelAcrossAllLevelsWithCallbackChurn) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    WheelVersusSetModel fuzz(seed);
+    Rng& rng = fuzz.rng();
+    for (int round = 0; round < 300; ++round) {
+      for (uint64_t n = 1 + rng.UniformUint64(6); n > 0; --n) {
+        fuzz.Add(fuzz.DrawDelay());
+      }
+      if (rng.Bernoulli(0.3)) {
+        fuzz.CancelRandom();
+      }
+      if (rng.Bernoulli(0.3)) {
+        fuzz.RestartRandomTimer();
+      }
+      if (rng.Bernoulli(0.1)) {
+        fuzz.StopRandomTimer();
+      }
+      if (rng.Bernoulli(0.1)) {
+        // An idle gap: with the wheel empty the clock runs on alone, and the
+        // next Schedule snaps the lagging cursor forward to it.
+        fuzz.CancelAll();
+        EXPECT_TRUE(fuzz.sched().empty());
+      }
+      const uint64_t gap_bits = rng.UniformUint64(41);
+      const SimTime now = fuzz.sched().now();
+      fuzz.RunUntil(std::min(
+          now + static_cast<SimTime>(rng.UniformUint64(uint64_t{1} << gap_bits)),
+          WheelVersusSetModel::kHorizon));
+    }
+    // A final ladder, one event per wheel level, so the drain cascades down
+    // from the top level on every seed.
+    for (int level = 0; level < 11; ++level) {
+      const SimTime room = WheelVersusSetModel::kHorizon - fuzz.sched().now();
+      fuzz.Add(std::min(SimTime{1} << (6 * level), room));
+    }
+    fuzz.Drain();
+    ASSERT_EQ(fuzz.fired().size(), fuzz.expected().size()) << "seed " << seed;
+    for (size_t i = 0; i < fuzz.fired().size(); ++i) {
+      ASSERT_EQ(fuzz.fired()[i], fuzz.expected()[i]) << "seed " << seed << " fire " << i;
+    }
+    // The schedule reached the top wheel levels and put several events on
+    // one instant.
+    size_t far = 0;
+    size_t same_instant = 0;
+    for (size_t i = 0; i < fuzz.fired().size(); ++i) {
+      far += fuzz.fired()[i].first >= (SimTime{1} << 60);
+      same_instant += i > 0 && fuzz.fired()[i].first == fuzz.fired()[i - 1].first;
+    }
+    EXPECT_GT(fuzz.fired().size(), 4000u);
+    EXPECT_GT(far, 0u);
+    EXPECT_GT(same_instant, 0u);
+  }
 }
 
 TEST(SchedulerWheelTest, EventPoolRecyclesNodes) {
